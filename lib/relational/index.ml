@@ -26,10 +26,16 @@ let g_group = Obs.gauge "index.max_group_rows"
 
 module H = Tuple.Tbl
 
-type part = {
-  groups : (Tuple.t * Count.t) array H.t;
-  counts : Count.t H.t;
+(* One cell per key holds both the group's rows and its summed count,
+   so building costs one hash lookup per row. [pending] collects the
+   rows during the build; [rows] is the frozen array lookups return. *)
+type group = {
+  mutable pending : (Tuple.t * Count.t) list;
+  mutable rows : (Tuple.t * Count.t) array;
+  mutable total : Count.t;
 }
+
+type part = group H.t
 
 (* Columnar impl: [heads]/[next] thread each signature's rows newest
    first (the same per-group order as the row build, which conses in
@@ -62,21 +68,23 @@ type t = {
    row order, as the frozen arrays' contract requires (newest first,
    matching the historical list-based index). *)
 let build_part rows keys select size =
-  let acc : (Tuple.t * Count.t) list H.t = H.create size in
-  let counts = H.create size in
+  let part = H.create size in
   Array.iteri
     (fun i row ->
-      if select i then begin
-        let k = keys.(i) in
-        let prev = try H.find acc k with Not_found -> [] in
-        H.replace acc k (row :: prev);
-        let prev_c = try H.find counts k with Not_found -> 0 in
-        H.replace counts k (Count.add prev_c (snd row))
-      end)
+      if select i then
+        match H.find_opt part keys.(i) with
+        | Some g ->
+            g.pending <- row :: g.pending;
+            g.total <- Count.add g.total (snd row)
+        | None ->
+            H.add part keys.(i) { pending = [ row ]; rows = [||]; total = snd row })
     rows;
-  let groups = H.create (H.length acc) in
-  H.iter (fun k l -> H.replace groups k (Array.of_list l)) acc;
-  { groups; counts }
+  H.iter
+    (fun _ g ->
+      g.rows <- Array.of_list g.pending;
+      g.pending <- [])
+    part;
+  part
 
 let build_rows positions rel =
   let rows = Relation.rows rel in
@@ -91,7 +99,7 @@ let build_rows positions rel =
       Exec.parallel_map (fun (tup, _) -> Tuple.project positions tup) rows
     in
     let buckets = Exec.parallel_map (fun k -> Tuple.bucket k p) keys in
-    let parts = Array.make p { groups = H.create 0; counts = H.create 0 } in
+    let parts = Array.make p (H.create 0) in
     Exec.parallel_for ~chunks:p 0 p (fun pi ->
         parts.(pi) <-
           build_part rows keys (fun i -> buckets.(i) = pi) (max 16 (n / p)));
@@ -160,8 +168,7 @@ let build ~key rel =
     | Rows parts ->
         Array.iter
           (fun part ->
-            H.iter (fun _ rows -> Obs.observe g_group (Array.length rows))
-              part.groups)
+            H.iter (fun _ g -> Obs.observe g_group (Array.length g.rows)) part)
           parts
     | Cols c ->
         Intkey.Itab.iter
@@ -218,7 +225,7 @@ let lookup t k =
   Obs.tick c_probes;
   match t.impl with
   | Rows parts -> (
-      try H.find (part_of parts k).groups k with Not_found -> [||])
+      match H.find_opt (part_of parts k) k with Some g -> g.rows | None -> [||])
   | Cols c ->
       let s = probe_sig c k in
       if s < 0 then [||]
@@ -238,7 +245,7 @@ let group_count t k =
   Obs.tick c_probes;
   match t.impl with
   | Rows parts -> (
-      try H.find (part_of parts k).counts k with Not_found -> 0)
+      match H.find_opt (part_of parts k) k with Some g -> g.total | None -> 0)
   | Cols c ->
       let s = probe_sig c k in
       if s < 0 then 0 else Intkey.Itab.find c.ccounts s ~default:0
@@ -247,7 +254,7 @@ let max_group_count t =
   match t.impl with
   | Rows parts ->
       Array.fold_left
-        (fun acc part -> H.fold (fun _ c acc -> Count.max c acc) part.counts acc)
+        (fun acc part -> H.fold (fun _ g acc -> Count.max g.total acc) part acc)
         Count.zero parts
   | Cols c ->
       Intkey.Itab.fold (fun _ cnt acc -> Count.max cnt acc) c.ccounts Count.zero
@@ -262,8 +269,8 @@ let approx_words t =
       Array.iter
         (fun part ->
           H.iter
-            (fun _ rows -> words := !words + 8 + (3 * Array.length rows))
-            part.groups)
+            (fun _ g -> words := !words + 8 + (3 * Array.length g.rows))
+            part)
         parts;
       !words
   | Cols c ->
@@ -271,7 +278,8 @@ let approx_words t =
 
 let iter_groups f t =
   match t.impl with
-  | Rows parts -> Array.iter (fun part -> H.iter f part.groups) parts
+  | Rows parts ->
+      Array.iter (fun part -> H.iter (fun k g -> f k g.rows) part) parts
   | Cols c ->
       Intkey.Itab.iter
         (fun _ head ->

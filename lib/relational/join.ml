@@ -9,8 +9,12 @@
    joins bucket k of the right on its own domain (equal keys always meet
    — they share a hash), and the per-partition results merge in bucket
    order at the barrier. Saturating count addition is associative and
-   commutative and [Relation.create] canonicalizes, so outputs are
-   bit-identical to the sequential plan at any job count. *)
+   commutative and every output is sorted once, so outputs are
+   bit-identical to the sequential plan at any job count.
+
+   Each operator hashes an emitted row at most once and sorts its output
+   once: rows go to {!Relation.of_grouped}, never back through
+   {!Relation.create}'s checks and regrouping. *)
 
 let c_rows = Obs.counter "join.rows_emitted"
 let c_sat = Obs.counter "count.saturations"
@@ -20,10 +24,10 @@ let g_groups = Obs.gauge "join.max_group_table_rows"
    is live, so the disabled cost stays at the operators' entry branches. *)
 let instrument_emit emit =
   if not (Obs.enabled ()) then emit
-  else fun tup cnt ->
+  else fun ltup rtup cnt ->
     Obs.tick c_rows;
     if Count.is_saturated cnt then Obs.tick c_sat;
-    emit tup cnt
+    emit ltup rtup cnt
 
 (* Aggregation can saturate even when every emitted row is finite: a
    per-group sum crosses max_count inside the grouping table, which the
@@ -66,20 +70,18 @@ let build_right_index plan right_rel =
 let combine plan left_tup right_tup =
   Tuple.concat left_tup (Tuple.project plan.right_extra right_tup)
 
-let stream_join a b emit =
-  Obs.span "join.stream" @@ fun () ->
-  let emit = instrument_emit emit in
-  let plan = make_plan (Relation.schema a) (Relation.schema b) in
+(* The sequential probe loop: stream the left side through the right
+   side's index and hand each matching pair, with its product count, to
+   [emit]. *)
+let probe plan a b emit =
   let idx = build_right_index plan b in
   Relation.iter
     (fun ltup lcnt ->
       let key = Tuple.project plan.common_left ltup in
       Array.iter
-        (fun (rtup, rcnt) ->
-          emit (combine plan ltup rtup) (Count.mul lcnt rcnt))
+        (fun (rtup, rcnt) -> emit ltup rtup (Count.mul lcnt rcnt))
         (Index.lookup idx key))
-    a;
-  plan.combined
+    a
 
 module H = Tuple.Tbl
 
@@ -88,8 +90,8 @@ module H = Tuple.Tbl
    id plus the per-partition probe driver and returns that partition's
    result; results are combined in partition order by the caller. The
    driver builds a local hash table of the right bucket and streams the
-   left bucket through it — the same plan as [stream_join], confined to
-   one bucket. *)
+   left bucket through it — the same plan as [probe], confined to
+   one bucket. Emission is by matching pair, as in [probe]. *)
 
 let partitioned plan a b emit_partition =
   let parts = Exec.jobs () in
@@ -126,8 +128,7 @@ let partitioned plan a b emit_partition =
               | None -> ()
               | Some group ->
                   List.iter
-                    (fun (rtup, rcnt) ->
-                      emit (combine plan ltup rtup) (Count.mul lcnt rcnt))
+                    (fun (rtup, rcnt) -> emit ltup rtup (Count.mul lcnt rcnt))
                     group
           )
           lrows
@@ -144,62 +145,123 @@ let pair_size a b = Relation.distinct_count a + Relation.distinct_count b
    ids and are bit-identical to the row implementations below, which
    stay as the always-available oracle (and the default). *)
 
+(* A natural join's rows are distinct without grouping: the combined
+   tuple determines both the left row and the right one. *)
 let natural_join_rows a b =
+  let plan = make_plan (Relation.schema a) (Relation.schema b) in
+  let collect acc =
+    instrument_emit (fun ltup rtup cnt ->
+        acc := (combine plan ltup rtup, cnt) :: !acc)
+  in
   if not (Exec.pays_off (pair_size a b)) then begin
+    Obs.span "join.stream" @@ fun () ->
     let acc = ref [] in
-    let combined = stream_join a b (fun tup cnt -> acc := (tup, cnt) :: !acc) in
-    Relation.create ~schema:combined (List.rev !acc)
+    probe plan a b (collect acc);
+    Relation.of_grouped plan.combined (Array.of_list !acc)
   end
   else
     Obs.span "join.partition" @@ fun () ->
-    let plan = make_plan (Relation.schema a) (Relation.schema b) in
     let per_partition =
       partitioned plan a b (fun _p drive ->
           let acc = ref [] in
-          let emit = instrument_emit (fun tup cnt -> acc := (tup, cnt) :: !acc) in
-          drive emit;
-          List.rev !acc)
+          drive (collect acc);
+          !acc)
     in
-    Relation.create ~schema:plan.combined (List.concat per_partition)
+    Relation.of_grouped plan.combined
+      (Array.of_list (List.concat per_partition))
 
 let natural_join a b =
   if Storage.is_columnar () then
     Obs.span "join.columnar" @@ fun () -> Coljoin.natural_join a b
   else natural_join_rows a b
 
-let join_project_rows ~group a b positions =
+(* Where each group attribute is read from a matching pair: [s >= 0] is
+   position [s] of the left tuple, [s < 0] position [-s - 1] of the right
+   one. Common attributes read the left side. Computed once per plan. *)
+let key_sources group a b =
+  Schema.attrs group
+  |> List.map (fun attr ->
+         match Schema.index_opt attr (Relation.schema a) with
+         | Some i -> i
+         | None -> -Schema.index attr (Relation.schema b) - 1)
+  |> Array.of_list
+
+(* The group key of a matching pair, built straight from the two sides:
+   no combined tuple is materialized. *)
+let group_key src (ltup : Tuple.t) (rtup : Tuple.t) : Tuple.t =
+  let n = Array.length src in
+  if n = 0 then [||]
+  else begin
+    let s0 = src.(0) in
+    let key = Array.make n (if s0 >= 0 then ltup.(s0) else rtup.(-s0 - 1)) in
+    for i = 1 to n - 1 do
+      let s = src.(i) in
+      key.(i) <- (if s >= 0 then ltup.(s) else rtup.(-s - 1))
+    done;
+    key
+  end
+
+(* One mutable cell per distinct key, so each emitted row costs one hash
+   lookup (two only when it opens a group). *)
+let accumulate table key cnt =
+  match H.find_opt table key with
+  | Some cell -> cell := add_tracked !cell cnt
+  | None -> H.add table key (ref cnt)
+
+let grouped_rows table =
+  Obs.observe g_groups (H.length table);
+  let rows = Array.make (H.length table) ([||], Count.zero) in
+  let i = ref 0 in
+  H.iter
+    (fun key cell ->
+      rows.(!i) <- (key, !cell);
+      incr i)
+    table;
+  rows
+
+(* Group keys need not contain the join key, so one group can span
+   partitions: sort the partials together once and sum each run of equal
+   keys — order-free because saturating addition is. The result is
+   sorted, so {!Relation.of_grouped} does not sort it again. *)
+let merge_partials partials =
+  let rows = Array.concat partials in
+  Array.sort (fun (a, _) (b, _) -> Tuple.compare a b) rows;
+  let n = Array.length rows in
+  if n = 0 then rows
+  else begin
+    let last = ref 0 in
+    for i = 1 to n - 1 do
+      let key, cnt = rows.(i) and prev, acc = rows.(!last) in
+      if Tuple.equal key prev then rows.(!last) <- (prev, add_tracked acc cnt)
+      else begin
+        incr last;
+        rows.(!last) <- rows.(i)
+      end
+    done;
+    Array.sub rows 0 (!last + 1)
+  end
+
+let join_project_rows ~group a b =
+  let plan = make_plan (Relation.schema a) (Relation.schema b) in
+  let src = key_sources group a b in
+  let aggregate table =
+    instrument_emit (fun ltup rtup cnt ->
+        accumulate table (group_key src ltup rtup) cnt)
+  in
   if not (Exec.pays_off (pair_size a b)) then begin
     let table = H.create 1024 in
-    let emit tup cnt =
-      let key = Tuple.project positions tup in
-      let prev = try H.find table key with Not_found -> 0 in
-      H.replace table key (add_tracked prev cnt)
-    in
-    let (_ : Schema.t) = stream_join a b emit in
-    Obs.observe g_groups (H.length table);
-    Relation.create ~schema:group (H.fold (fun t c acc -> (t, c) :: acc) table [])
+    probe plan a b (aggregate table);
+    Relation.of_grouped group (grouped_rows table)
   end
-  else begin
-    let plan = make_plan (Relation.schema a) (Relation.schema b) in
-    (* Group keys need not contain the join key, so one group can span
-       partitions: each partition aggregates its own table and
-       [Relation.create]'s normalization sums the spans — order-free
-       because saturating addition is. The gauge consequently reports
-       the largest per-partition table. *)
-    let per_partition =
+  else
+    (* The gauge reports the largest per-partition table. *)
+    let partials =
       partitioned plan a b (fun _p drive ->
           let table = H.create 1024 in
-          let grouping tup cnt =
-            let key = Tuple.project positions tup in
-            let prev = try H.find table key with Not_found -> 0 in
-            H.replace table key (add_tracked prev cnt)
-          in
-          drive (instrument_emit grouping);
-          Obs.observe g_groups (H.length table);
-          H.fold (fun t c acc -> (t, c) :: acc) table [])
+          drive (aggregate table);
+          grouped_rows table)
     in
-    Relation.create ~schema:group (List.concat per_partition)
-  end
+    Relation.of_grouped group (merge_partials partials)
 
 let join_project ~group a b =
   Obs.span "join.project" @@ fun () ->
@@ -208,9 +270,7 @@ let join_project ~group a b =
     Errors.schema_errorf "join_project: %a not a subset of joined schema %a"
       Schema.pp group Schema.pp combined;
   if Storage.is_columnar () then Coljoin.join_project ~group a b
-  else
-    let positions = Schema.positions ~sub:group combined in
-    join_project_rows ~group a b positions
+  else join_project_rows ~group a b
 
 let join_all = function
   | [] -> invalid_arg "Join.join_all: empty list"
@@ -249,7 +309,10 @@ let merge_join a b =
   let out = ref [] in
   (* Instrument each row as it is emitted rather than re-walking the
      accumulated output afterwards. *)
-  let emit = instrument_emit (fun tup cnt -> out := (tup, cnt) :: !out) in
+  let emit =
+    instrument_emit (fun ltup rtup cnt ->
+        out := (combine plan ltup rtup, cnt) :: !out)
+  in
   let i = ref 0 and j = ref 0 in
   while !i < Array.length left && !j < Array.length right do
     let c = Tuple.compare (key left.(!i)) (key right.(!j)) in
@@ -261,14 +324,14 @@ let merge_join a b =
         let _, ltup, lcnt = left.(li) in
         for rj = !j to j_end - 1 do
           let _, rtup, rcnt = right.(rj) in
-          emit (combine plan ltup rtup) (Count.mul lcnt rcnt)
+          emit ltup rtup (Count.mul lcnt rcnt)
         done
       done;
       i := i_end;
       j := j_end
     end
   done;
-  Relation.create ~schema:plan.combined !out
+  Relation.of_grouped plan.combined (Array.of_list !out)
 
 (* Greedy connected ordering: start from the widest relation and keep
    picking a relation sharing attributes with the accumulated schema
@@ -313,26 +376,27 @@ let join_project_all ~group rels =
   match connected_order rels with
   | [] -> invalid_arg "Join.join_project_all: empty list"
   | [ r ] -> Relation.project group r
-  | first :: rest ->
-      (* Attributes needed downstream of position i: anything in [group]
-         or in a relation joined after i. Projecting intermediates onto
-         this set preserves the final grouped counts. *)
-      let rec loop acc = function
-        | [] -> Relation.project group acc
-        | r :: later ->
+  | first :: second :: rest ->
+      (* Attributes needed downstream of a join: anything in [group] or
+         in a relation joined later. Projecting intermediates onto this
+         set preserves the final grouped counts; the last join groups
+         onto [group] itself, in its order. *)
+      let rec loop acc r = function
+        | [] -> join_project ~group acc r
+        | next :: later as remaining ->
             let still_needed =
               List.fold_left
                 (fun s rel -> Schema.union s (Relation.schema rel))
-                group later
+                group remaining
             in
             let keep =
               Schema.inter
                 (Schema.union (Relation.schema acc) (Relation.schema r))
                 still_needed
             in
-            loop (join_project ~group:keep acc r) later
+            loop (join_project ~group:keep acc r) next later
       in
-      loop first rest
+      loop first second rest
 
 let semijoin a b =
   let common = Schema.inter (Relation.schema a) (Relation.schema b) in
@@ -363,7 +427,7 @@ let count_join a b =
     let per_partition =
       partitioned plan a b (fun _p drive ->
           let total = ref Count.zero in
-          drive (fun _tup cnt -> total := add_tracked !total cnt);
+          drive (fun _ _ cnt -> total := add_tracked !total cnt);
           !total)
     in
     List.fold_left add_tracked Count.zero per_partition

@@ -23,16 +23,18 @@ val merge_join : Relation.t -> Relation.t -> Relation.t
 val join_project : group:Schema.t -> Relation.t -> Relation.t -> Relation.t
 (** [join_project ~group a b] is [Relation.project group (natural_join a b)]
     computed without materializing the full join — the fused
-    γ_group(r⋈(a, b)) used throughout the topjoin/botjoin passes. [group]
-    must be a subset of the joined schema. *)
+    γ_group(r⋈(a, b)) used throughout the topjoin/botjoin passes. Each
+    matching pair's group key is read straight from the two input tuples
+    and hashed once; the groups are sorted once. [group] must be a subset
+    of the joined schema, in any order. *)
 
 val join_all : Relation.t list -> Relation.t
 (** Left-fold of {!natural_join}. Raises [Invalid_argument] on []. *)
 
 val join_project_all : group:Schema.t -> Relation.t list -> Relation.t
-(** Folds {!natural_join} but projects intermediate results onto the
+(** Folds {!join_project}, grouping each intermediate result onto the
     attributes still needed (those in [group] or in a yet-unjoined
-    relation), then applies the final group-by. Equivalent to
+    relation) and the last one onto [group] itself. Equivalent to
     [Relation.project group (join_all rels)] with smaller intermediates. *)
 
 val semijoin : Relation.t -> Relation.t -> Relation.t

@@ -56,9 +56,25 @@ let of_encoded c =
 
 module T = Tuple.Tbl
 
+let by_tuple (a, _) (b, _) = Tuple.compare a b
+
+(* The trusted constructor every kernel output goes through: the caller
+   guarantees distinct tuples of the right arity with positive counts, so
+   the only canonicalization left is the sort. Partial results that are
+   already sorted (the partition-parallel merges) skip it; for anything
+   else the scan stops at the first descent. *)
+let of_grouped schema rows =
+  let n = Array.length rows in
+  let i = ref 1 in
+  while !i < n && by_tuple rows.(!i - 1) rows.(!i) < 0 do
+    incr i
+  done;
+  if !i < n then Array.sort by_tuple rows;
+  mk schema rows
+
 (* Group an array of (tuple, count) pairs: sum multiplicities per
-   distinct tuple, drop non-positive totals, sort. This is the merge
-   half of the canonical form all constructors funnel through.
+   distinct tuple and drop non-positive totals. One hash per pair: each
+   distinct tuple owns a mutable cell.
 
    Above the cutoff the pairs are hash-partitioned and each partition is
    grouped on its own domain: a tuple's partition is a function of its
@@ -69,13 +85,14 @@ let group_into table pairs lo hi keep =
   for i = lo to hi - 1 do
     if keep i then begin
       let tup, cnt = pairs.(i) in
-      let prev = try T.find table tup with Not_found -> 0 in
-      T.replace table tup (Count.add prev cnt)
+      match T.find_opt table tup with
+      | Some cell -> cell := Count.add !cell cnt
+      | None -> T.add table tup (ref cnt)
     end
   done
 
 let table_rows table =
-  T.fold (fun tup cnt acc -> if cnt > 0 then (tup, cnt) :: acc else acc)
+  T.fold (fun tup cnt acc -> if !cnt > 0 then (tup, !cnt) :: acc else acc)
     table []
 
 (* The columnar path encodes once and groups in the integer domain —
@@ -92,7 +109,7 @@ let grouped schema pairs =
       if not (Exec.pays_off n) then begin
         let table = T.create (max 16 n) in
         group_into table pairs 0 n (fun _ -> true);
-        Array.of_list (table_rows table)
+        table_rows table
       end
       else begin
         let parts = Exec.jobs () in
@@ -102,15 +119,14 @@ let grouped schema pairs =
             let table = T.create (max 16 (n / parts)) in
             group_into table pairs 0 n (fun i -> buckets.(i) = p);
             groups.(p) <- table_rows table);
-        Array.of_list (List.concat (Array.to_list groups))
+        List.concat (Array.to_list groups)
       end
     in
-    Array.sort (fun (a, _) (b, _) -> Tuple.compare a b) rows;
-    mk schema rows
+    of_grouped schema (Array.of_list rows)
   end
 
-(* Merge duplicate tuples, drop zero counts, sort: the canonical form all
-   constructors funnel through. *)
+(* Merge duplicate tuples, drop zero counts, sort: the canonical form
+   for rows from outside the library. *)
 let normalize schema pairs = grouped schema (Array.of_list pairs)
 
 let check_row schema (tup, cnt) =
@@ -141,20 +157,20 @@ let cardinality r =
 let distinct_count r = Array.length r.rows
 let is_empty r = Array.length r.rows = 0
 
-(* Rows are sorted, so point lookups binary-search. *)
-let find_index tup r =
-  let lo = ref 0 and hi = ref (Array.length r.rows - 1) and res = ref (-1) in
-  while !lo <= !hi do
+(* Rows are sorted, so point lookups binary-search: [lower_bound] is the
+   first slot whose tuple is not below [tup]. *)
+let lower_bound tup r =
+  let lo = ref 0 and hi = ref (Array.length r.rows) in
+  while !lo < !hi do
     let mid = (!lo + !hi) / 2 in
-    let c = Tuple.compare (fst r.rows.(mid)) tup in
-    if c = 0 then begin
-      res := mid;
-      lo := !hi + 1
-    end
-    else if c < 0 then lo := mid + 1
-    else hi := mid - 1
+    if Tuple.compare (fst r.rows.(mid)) tup < 0 then lo := mid + 1
+    else hi := mid
   done;
-  !res
+  !lo
+
+let find_index tup r =
+  let i = lower_bound tup r in
+  if i < Array.length r.rows && Tuple.equal (fst r.rows.(i)) tup then i else -1
 
 let mem tup r = find_index tup r >= 0
 let count_of tup r = match find_index tup r with -1 -> 0 | i -> snd r.rows.(i)
@@ -166,27 +182,36 @@ let iter f r = Array.iter (fun (tup, cnt) -> f tup cnt) r.rows
 
 let c_projected = Obs.counter "relation.rows_projected"
 
+(* A pure column permutation keeps rows distinct: re-key and sort, no
+   hashing. *)
+let permute target r =
+  let positions = Schema.positions ~sub:target r.schema in
+  of_grouped target
+    (Array.map (fun (tup, cnt) -> (Tuple.project positions tup, cnt)) r.rows)
+
 let project target r =
-  Obs.span "relation.project" @@ fun () ->
-  Obs.add c_projected (Array.length r.rows);
-  if not (Schema.subset target r.schema) then
-    Errors.schema_errorf "project: %a is not a subset of %a" Schema.pp target
-      Schema.pp r.schema;
-  let positions =
-    Schema.positions ~sub:target r.schema
-  in
-  if Storage.is_columnar () then
-    (* Column selection is array indexing and the group-by runs on ids:
-       no per-row tuple is ever built. *)
-    of_encoded (Colrel.group_by ~schema:target positions (encoded r))
-  else begin
-    let key (tup, cnt) = (Tuple.project positions tup, cnt) in
-    let keyed =
-      if Exec.pays_off (Array.length r.rows) then Exec.parallel_map key r.rows
-      else Array.map key r.rows
-    in
-    grouped target keyed
-  end
+  if Schema.equal target r.schema then r
+  else
+    Obs.span "relation.project" @@ fun () ->
+    Obs.add c_projected (Array.length r.rows);
+    if not (Schema.subset target r.schema) then
+      Errors.schema_errorf "project: %a is not a subset of %a" Schema.pp target
+        Schema.pp r.schema;
+    if Schema.arity target = Schema.arity r.schema then permute target r
+    else
+      let positions = Schema.positions ~sub:target r.schema in
+      if Storage.is_columnar () then
+        (* Column selection is array indexing and the group-by runs on
+           ids: no per-row tuple is ever built. *)
+        of_encoded (Colrel.group_by ~schema:target positions (encoded r))
+      else begin
+        let key (tup, cnt) = (Tuple.project positions tup, cnt) in
+        let keyed =
+          if Exec.pays_off (Array.length r.rows) then Exec.parallel_map key r.rows
+          else Array.map key r.rows
+        in
+        grouped target keyed
+      end
 
 let filter pred r =
   let rows =
@@ -200,9 +225,23 @@ let scale factor r =
   if factor <= 0 then Errors.data_errorf "scale: non-positive factor %d" factor;
   mk r.schema (Array.map (fun (t, c) -> (t, Count.mul c factor)) r.rows)
 
+(* Point updates edit the sorted rows at the slot the binary search
+   finds: no hashing and no sort. *)
 let add ?(count = 1) tup r =
   check_row r.schema (tup, count);
-  normalize r.schema ((tup, count) :: Array.to_list r.rows)
+  let i = lower_bound tup r in
+  let n = Array.length r.rows in
+  if i < n && Tuple.equal (fst r.rows.(i)) tup then begin
+    let rows = Array.copy r.rows in
+    rows.(i) <- (tup, Count.add (snd rows.(i)) count);
+    mk r.schema rows
+  end
+  else
+    mk r.schema
+      (Array.init (n + 1) (fun j ->
+           if j < i then r.rows.(j)
+           else if j = i then (tup, count)
+           else r.rows.(j - 1)))
 
 (* Clamp semantics: removing more copies than are stored empties the row
    and leaves the rest of the relation untouched. The alternative —
@@ -218,14 +257,15 @@ let remove ?(count = 1) tup r =
   | -1 -> r
   | i ->
       let existing = snd r.rows.(i) in
-      let remaining = if count >= existing then 0 else existing - count in
-      let rows = Array.to_list r.rows in
-      let rows =
-        List.filteri (fun j _ -> j <> i) rows
-        |> fun rest ->
-        if remaining > 0 then (tup, remaining) :: rest else rest
-      in
-      normalize r.schema rows
+      if count < existing then begin
+        let rows = Array.copy r.rows in
+        rows.(i) <- (fst rows.(i), existing - count);
+        mk r.schema rows
+      end
+      else
+        let n = Array.length r.rows in
+        mk r.schema
+          (Array.append (Array.sub r.rows 0 i) (Array.sub r.rows (i + 1) (n - i - 1)))
 
 let max_row r =
   Array.fold_left
@@ -258,18 +298,14 @@ let equal a b =
 (* The identity shortcut matters for the cache layer: [Cq.instance]
    reorders every atom's columns, and without it each call would mint
    fresh relation values (fresh version stamps) even when the stored
-   schema already matches, defeating version-keyed memoization. Rows are
-   already canonical, so returning [r] unchanged is exact. *)
+   schema already matches, defeating version-keyed memoization. *)
 let reorder target r =
   if Schema.equal target r.schema then r
   else begin
     if not (Schema.equal_as_sets target r.schema) then
       Errors.schema_errorf "reorder: %a and %a hold different attributes"
         Schema.pp target Schema.pp r.schema;
-    let positions = Schema.positions ~sub:target r.schema in
-    normalize target
-      (Array.to_list r.rows
-      |> List.map (fun (tup, cnt) -> (Tuple.project positions tup, cnt)))
+    permute target r
   end
 
 let equal_semantic a b =

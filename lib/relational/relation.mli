@@ -26,6 +26,15 @@ val of_rows : schema:Schema.t -> Value.t list list -> t
 
 val empty : Schema.t -> t
 
+val of_grouped : Schema.t -> (Tuple.t * Count.t) array -> t
+(** Trusted constructor for operator outputs that are already grouped:
+    the caller guarantees that the tuples are distinct and of the
+    schema's arity and that every count is positive — none of this is
+    checked. The rows are sorted in place (skipped when they already are),
+    so the array must not be used afterwards. One sort and no hashing:
+    the kernels in {!Join} and {!project} build on it, after grouping
+    their output once themselves. *)
+
 (** {1 Access} *)
 
 val schema : t -> Schema.t
@@ -62,6 +71,9 @@ val iter : (Tuple.t -> Count.t -> unit) -> t -> unit
 val project : Schema.t -> t -> t
 (** [project target r] is the paper's γ: group rows by the [target]
     attributes (a subset of [r]'s schema, any order) and sum counts.
+    Projecting onto the stored schema returns [r] itself, with its
+    version stamp; a target that only permutes the columns re-keys and
+    sorts without grouping, since the rows stay distinct.
     Raises {!Errors.Schema_error} if [target] is not a subset. *)
 
 val filter : (Schema.t -> Tuple.t -> bool) -> t -> t
@@ -132,7 +144,8 @@ val equal_semantic : t -> t -> bool
 val reorder : Schema.t -> t -> t
 (** Reorder columns to match the given schema (same attribute set).
     Returns the relation itself (same version stamp) when the target
-    equals the stored schema. Raises {!Errors.Schema_error} if the
+    equals the stored schema; otherwise this is {!project}'s permutation
+    path. Raises {!Errors.Schema_error} if the
     attribute sets differ. *)
 
 val pp : Format.formatter -> t -> unit

@@ -2,17 +2,20 @@ type t = Value.t array
 
 let of_list = Array.of_list
 
+(* [compare], [hash] and [project] are plain loops: they run once per
+   probe, group lookup or sort comparison, and a closure over their
+   arguments would be allocated on every call. *)
 let compare a b =
   let la = Array.length a and lb = Array.length b in
   if la <> lb then Int.compare la lb
-  else
-    let rec loop i =
-      if i >= la then 0
-      else
-        let c = Value.compare a.(i) b.(i) in
-        if c <> 0 then c else loop (i + 1)
-    in
-    loop 0
+  else begin
+    let c = ref 0 and i = ref 0 in
+    while !c = 0 && !i < la do
+      c := Value.compare a.(!i) b.(!i);
+      incr i
+    done;
+    !c
+  end
 
 let equal a b = compare a b = 0
 
@@ -25,7 +28,9 @@ let fnv_prime = 0x100000001b3
 
 let hash t =
   let h = ref 0x2545f4914f6cdd1d in
-  Array.iter (fun v -> h := (!h lxor Value.hash v) * fnv_prime) t;
+  for i = 0 to Array.length t - 1 do
+    h := (!h lxor Value.hash t.(i)) * fnv_prime
+  done;
   let h = !h in
   h lxor (h lsr 29)
 
@@ -41,7 +46,16 @@ end)
 
 let bucket t parts = hash t land max_int mod parts
 
-let project positions t = Array.map (fun i -> t.(i)) positions
+let project positions t =
+  let n = Array.length positions in
+  if n = 0 then [||]
+  else begin
+    let out = Array.make n t.(positions.(0)) in
+    for i = 1 to n - 1 do
+      out.(i) <- t.(positions.(i))
+    done;
+    out
+  end
 let get t i = t.(i)
 let arity = Array.length
 let concat = Array.append

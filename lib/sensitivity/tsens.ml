@@ -115,25 +115,89 @@ let table_best table =
           match Schema.attrs schema with
           | attrs -> Some (Tuple.of_list (List.map value_for attrs), count))
 
-(* Entries of a table as a sequence, heaviest first (ties by tuple
-   order). Dense tables sort once; factored tables enumerate index
-   combinations best-first with a heap, never materializing the cross
-   product. *)
-let desc_rows rows =
-  let rows = Array.copy rows in
-  Array.sort
-    (fun (t1, c1) (t2, c2) ->
-      match Count.compare c2 c1 with 0 -> Tuple.compare t1 t2 | c -> c)
-    rows;
-  rows
+(* Heaviest first, ties broken by the smallest tuple. *)
+let heavier (t1, c1) (t2, c2) =
+  match Count.compare c2 c1 with 0 -> Tuple.compare t1 t2 | c -> c
 
-let table_rows_desc table =
+(* [heavier] for the rows of a factored table's part, with ties broken
+   by the part's columns in the table's column order — the order the
+   combined rows are ranked in. *)
+let heavier_within schema part =
+  let own = Relation.schema part in
+  let in_table_order = Schema.restrict ~keep:(fun a -> Schema.mem a own) schema in
+  if Schema.equal in_table_order own then heavier
+  else
+    let positions = Schema.positions ~sub:in_table_order own in
+    fun (t1, c1) (t2, c2) ->
+      match Count.compare c2 c1 with
+      | 0 -> Tuple.compare (Tuple.project positions t1) (Tuple.project positions t2)
+      | c -> c
+
+(* The first [k] rows in [heavier] order without sorting the rest: a
+   bounded heap holds the best [k] seen so far, the lightest at its
+   root, so selection costs O(n log k) and only the survivors are
+   sorted. Rows of one relation are distinct, so the order is total and
+   the result is exactly the prefix of a full sort. *)
+let top_rows ?(order = heavier) k rows =
+  let n = Array.length rows in
+  if k >= n then begin
+    let rows = Array.copy rows in
+    Array.sort order rows;
+    rows
+  end
+  else if k = 0 then [||]
+  else begin
+    let heap = Array.sub rows 0 k in
+    let lighter i j = order heap.(i) heap.(j) > 0 in
+    let rec sift i =
+      let l = (2 * i) + 1 in
+      let m = if l < k && lighter l i then l else i in
+      let m = if l + 1 < k && lighter (l + 1) m then l + 1 else m in
+      if m <> i then begin
+        let x = heap.(i) in
+        heap.(i) <- heap.(m);
+        heap.(m) <- x;
+        sift m
+      end
+    in
+    for i = (k / 2) - 1 downto 0 do
+      sift i
+    done;
+    for j = k to n - 1 do
+      if order rows.(j) heap.(0) < 0 then begin
+        heap.(0) <- rows.(j);
+        sift 0
+      end
+    done;
+    Array.sort order heap;
+    heap
+  end
+
+(* Entries of a table as a sequence, heaviest first (ties by tuple
+   order); with [~limit:k] only the first [k] are guaranteed. Dense
+   tables select their top rows; factored tables enumerate index
+   combinations best-first with a heap, never materializing the cross
+   product. A part's rows are ranked with ties in the table's column
+   order, so a combination that is nowhere further along the parts than
+   another also ranks no lower; that keeps the best-first order exact
+   (up to saturated counts, where unequal parts can multiply to equal
+   entries). Reaching index [j]
+   of a part takes [j] earlier pops along that part, so the first [k]
+   pops never look past a part's first [k] rows, and truncating each part
+   to them changes none of those pops. *)
+let table_rows_desc ?limit table =
+  let desc ?order p =
+    let rows = Relation.rows p in
+    top_rows ?order (Option.value limit ~default:(Array.length rows)) rows
+  in
   match table with
-  | Dense r -> Array.to_seq (desc_rows (Relation.rows r))
+  | Dense r -> Array.to_seq (desc r)
   | Factored { schema; parts; factor } ->
       if Count.equal factor Count.zero then Seq.empty
       else
-        let part_rows = List.map (fun p -> desc_rows (Relation.rows p)) parts in
+        let part_rows =
+          List.map (fun p -> desc ~order:(heavier_within schema p) p) parts
+        in
         if List.exists (fun a -> Array.length a = 0) part_rows then Seq.empty
         else begin
           let part_rows = Array.of_list part_rows in
@@ -657,7 +721,10 @@ let top_sensitive a relation n =
     | None -> true
     | Some pred -> pred relation atom_schema full
   in
-  table_rows_desc table
+  (* A selection can reject rows, so only an unfiltered listing knows
+     that [n] rows suffice. *)
+  let limit = if Option.is_none a.selection then Some n else None in
+  table_rows_desc ?limit table
   |> Seq.filter_map (fun (row, count) ->
          let full = extend row in
          if admissible full then Some (full, count) else None)

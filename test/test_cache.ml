@@ -175,7 +175,22 @@ let test_version_stamps () =
     (Relation.version r) (Relation.version same);
   let permuted = Relation.reorder (schema [ "B"; "A" ]) r in
   Alcotest.(check bool) "real reorder restamps" true
-    (Relation.version permuted <> Relation.version r)
+    (Relation.version permuted <> Relation.version r);
+  (* project onto the stored schema is the identity too; a permutation
+     or a real group-by builds a new value. *)
+  let projected = Relation.project (schema [ "A"; "B" ]) r in
+  Alcotest.(check bool) "identity project returns the relation" true
+    (projected == r);
+  Alcotest.(check int) "identity project keeps the stamp"
+    (Relation.version r) (Relation.version projected);
+  let swapped = Relation.project (schema [ "B"; "A" ]) r in
+  Alcotest.(check bool) "permuting project restamps" true
+    (Relation.version swapped > Relation.version r);
+  Alcotest.(check bool) "permuting project = reorder" true
+    (Relation.equal swapped permuted);
+  let grouped = Relation.project (schema [ "A" ]) r in
+  Alcotest.(check bool) "grouping project restamps" true
+    (Relation.version grouped > Relation.version r)
 
 let test_database_versions () =
   let a = r1 () and b = r1 () in

@@ -116,12 +116,28 @@ let prop_merge_join_jobs =
     Tgen.print_relation_pair (fun (a, b) ->
       same_at_all_jobs Relation.equal (fun () -> Join.merge_join a b))
 
+(* The group shapes of test_relation's reference property (permuted,
+   one-sided, nullary), on ordinary and saturating counts, with each side
+   also emptied. *)
+let pair_cases_gen =
+  QCheck2.Gen.(
+    oneof [ Tgen.joinable_pair_gen; Tgen.saturating_pair_gen ] >>= fun (a, b) ->
+    let empty r = Relation.empty (Relation.schema r) in
+    return [ (a, b); (empty a, b); (a, empty b) ])
+
+let print_pair_cases cases = Tgen.print_relation_pair (List.hd cases)
+
+let for_all_groups cases f =
+  List.for_all
+    (fun (a, b) -> List.for_all (fun group -> f group a b) (Tgen.group_variants a b))
+    cases
+
 let prop_join_project_jobs =
-  Tgen.qtest "join_project identical across jobs" Tgen.joinable_pair_gen
-    Tgen.print_relation_pair (fun (a, b) ->
-      let group = Schema.inter (Relation.schema a) (Relation.schema b) in
-      same_at_all_jobs Relation.equal (fun () ->
-          Join.join_project ~group a b))
+  Tgen.qtest ~count:100 "join_project identical across jobs" pair_cases_gen
+    print_pair_cases (fun cases ->
+      for_all_groups cases (fun group a b ->
+          same_at_all_jobs Relation.equal (fun () ->
+              Join.join_project ~group a b)))
 
 let prop_count_join_jobs =
   Tgen.qtest "count_join identical across jobs" Tgen.joinable_pair_gen
@@ -129,21 +145,25 @@ let prop_count_join_jobs =
       same_at_all_jobs Count.equal (fun () -> Join.count_join a b))
 
 let prop_join_project_all_jobs =
-  Tgen.qtest "join_project_all identical across jobs" Tgen.joinable_pair_gen
-    Tgen.print_relation_pair (fun (a, b) ->
-      let group = Schema.inter (Relation.schema a) (Relation.schema b) in
-      same_at_all_jobs Relation.equal (fun () ->
-          Join.join_project_all ~group [ a; b; a ]))
+  Tgen.qtest ~count:100 "join_project_all identical across jobs"
+    pair_cases_gen
+    print_pair_cases (fun cases ->
+      for_all_groups cases (fun group a b ->
+          same_at_all_jobs Relation.equal (fun () ->
+              Join.join_project_all ~group [ a; b; a ])))
 
 let prop_project_jobs =
   Tgen.qtest "project identical across jobs" Tgen.relation_gen
     Tgen.print_relation (fun r ->
-      let target =
+      let targets =
         match Schema.attrs (Relation.schema r) with
-        | first :: _ -> Schema.of_list [ first ]
-        | [] -> Schema.empty
+        | first :: _ -> Schema.of_list [ first ] :: Tgen.target_variants r
+        | [] -> Tgen.target_variants r
       in
-      same_at_all_jobs Relation.equal (fun () -> Relation.project target r))
+      List.for_all
+        (fun target ->
+          same_at_all_jobs Relation.equal (fun () -> Relation.project target r))
+        targets)
 
 (* ------------------------------------------------------------------ *)
 (* Determinism of the sensitivity algorithms *)

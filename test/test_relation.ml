@@ -422,6 +422,146 @@ let prop_semijoin_no_growth =
       Relation.cardinality (Join.semijoin a b) <= Relation.cardinality a)
 
 (* ------------------------------------------------------------------ *)
+(* Fast kernels against a nested-loop reference. The reference reads
+   rows with [Relation.rows] and builds results with [Relation.create]
+   only: no Join or Index code, one value lookup by attribute name at a
+   time. *)
+
+let ref_value rel tuple attr =
+  Tuple.get tuple (Schema.index attr (Relation.schema rel))
+
+let ref_project target r =
+  Relation.create ~schema:target
+    (Array.to_list (Relation.rows r)
+    |> List.map (fun (t, c) ->
+           (Tuple.of_list (List.map (ref_value r t) (Schema.attrs target)), c)))
+
+let ref_join_project ~group a b =
+  let sa = Relation.schema a and sb = Relation.schema b in
+  let common = Schema.attrs (Schema.inter sa sb) in
+  let out = ref [] in
+  Array.iter
+    (fun (ta, ca) ->
+      Array.iter
+        (fun (tb, cb) ->
+          if
+            List.for_all
+              (fun x -> Value.equal (ref_value a ta x) (ref_value b tb x))
+              common
+          then
+            let value x =
+              if Schema.mem x sa then ref_value a ta x else ref_value b tb x
+            in
+            out :=
+              ( Tuple.of_list (List.map value (Schema.attrs group)),
+                Count.mul ca cb )
+              :: !out)
+        (Relation.rows b))
+    (Relation.rows a);
+  Relation.create ~schema:group !out
+
+let ref_join_project_all ~group = function
+  | [] -> invalid_arg "ref_join_project_all"
+  | first :: rest ->
+      List.fold_left
+        (fun acc r ->
+          ref_join_project
+            ~group:(Schema.union (Relation.schema acc) (Relation.schema r))
+            acc r)
+        first rest
+      |> ref_project group
+
+let fast_equals_reference ((a, b), extra) =
+  let empty r = Relation.empty (Relation.schema r) in
+  List.for_all
+    (fun (a, b) ->
+      List.for_all
+        (fun group ->
+          Relation.equal (Join.join_project ~group a b)
+            (ref_join_project ~group a b)
+          && List.for_all
+               (fun rels ->
+                 Relation.equal
+                   (Join.join_project_all ~group rels)
+                   (ref_join_project_all ~group rels))
+               [ [ a; b ]; [ a; b; a ] ])
+        (extra :: Tgen.group_variants a b)
+      && List.for_all
+           (fun target ->
+             Relation.equal (Relation.project target a) (ref_project target a))
+           (Tgen.target_variants a))
+    [ (a, b); (empty a, b); (a, empty b) ]
+
+let prop_fast_equals_reference =
+  Tgen.qtest ~count:300 "join_project, join_project_all, project = reference"
+    QCheck2.Gen.(
+      oneof [ Tgen.joinable_pair_gen; Tgen.saturating_pair_gen ]
+      >>= fun (a, b) ->
+      Tgen.sub_schema_gen
+        (Schema.union (Relation.schema a) (Relation.schema b))
+      >>= fun group -> return ((a, b), group))
+    (fun (pair, group) ->
+      Format.asprintf "%s@.group %a" (Tgen.print_relation_pair pair) Schema.pp
+        group)
+    fast_equals_reference
+
+(* Saturation inside a kernel is reported: a group sum that crosses
+   max_count from finite products, and a product that saturates on
+   emission, both tick count.saturations. *)
+let test_kernel_saturation_ticks () =
+  let saturations f =
+    Obs.reset ();
+    Obs.enable ();
+    Fun.protect
+      ~finally:(fun () ->
+        Obs.disable ();
+        Obs.reset ())
+      (fun () ->
+        let result = f () in
+        let report = Obs.Report.capture () in
+        let ticks =
+          List.fold_left
+            (fun acc t ->
+              if String.equal t.Obs.Report.name "count.saturations" then
+                acc + t.Obs.Report.total
+              else acc)
+            0 report.Obs.Report.counters
+        in
+        (result, ticks))
+  in
+  let half = (Count.max_count / 2) + 1 in
+  let a =
+    Relation.create ~schema:(schema [ "A"; "B" ])
+      [ (tup [ v 1; v 1 ], half); (tup [ v 1; v 2 ], half) ]
+  in
+  let b counts =
+    Relation.create ~schema:(schema [ "B"; "C" ])
+      (List.map2 (fun t c -> (t, c)) [ tup [ v 1; v 0 ]; tup [ v 2; v 0 ] ] counts)
+  in
+  (* Every product stays finite; the two of group A=1 sum past max_count. *)
+  let finite = b [ 1; 1 ] in
+  (* The second product saturates as it is emitted. *)
+  let saturating = b [ 1; Count.max_count ] in
+  let check name f reference =
+    let result, ticks = saturations f in
+    Alcotest.(check Tgen.relation_testable) (name ^ " = reference") reference
+      result;
+    Alcotest.(check bool) (name ^ " saturates") true
+      (Array.exists (fun (_, c) -> Count.is_saturated c) (Relation.rows result));
+    Alcotest.(check bool) (name ^ " ticks count.saturations") true (ticks > 0)
+  in
+  let group = schema [ "A" ] in
+  check "group sum"
+    (fun () -> Join.join_project ~group a finite)
+    (ref_join_project ~group a finite);
+  check "emission"
+    (fun () -> Join.join_project ~group:(schema [ "C"; "B" ]) a saturating)
+    (ref_join_project ~group:(schema [ "C"; "B" ]) a saturating);
+  check "join_project_all"
+    (fun () -> Join.join_project_all ~group [ a; finite; a ])
+    (ref_join_project_all ~group [ a; finite; a ])
+
+(* ------------------------------------------------------------------ *)
 (* Index *)
 
 let test_index_groups () =
@@ -740,6 +880,9 @@ let () =
           prop_merge_join_equals_hash_join;
           prop_merge_join_cross_product;
           prop_semijoin_no_growth;
+          prop_fast_equals_reference;
+          Alcotest.test_case "saturation ticks" `Quick
+            test_kernel_saturation_ticks;
         ] );
       ( "index",
         [

@@ -632,26 +632,62 @@ let test_top_sensitive_fig3 () =
     | exception Invalid_argument _ -> true
     | _ -> false)
 
+(* [top_sensitive] returns whole rows in order, against a full sort of
+   the materialized table, for every k around the table's size. *)
+let top_sensitive_matches_table a relation =
+  let sorted = Array.copy (Relation.rows (Tsens.multiplicity_table a relation)) in
+  Array.sort
+    (fun (t1, c1) (t2, c2) ->
+      match compare c2 c1 with 0 -> Tuple.compare t1 t2 | c -> c)
+    sorted;
+  let size = Array.length sorted in
+  List.for_all
+    (fun k ->
+      let expected =
+        Array.to_list sorted
+        |> List.filteri (fun i _ -> i < k)
+        |> List.map (fun (row, c) -> (Tsens.witness_tuple a relation row, c))
+      in
+      List.equal
+        (fun (t1, c1) (t2, c2) -> Tuple.equal t1 t2 && Count.equal c1 c2)
+        expected
+        (Tsens.top_sensitive a relation k))
+    [ 0; 1; 3; size; size + 5 ]
+
+(* The instances' small values and counts tie often, and the catalogue
+   yields both dense and factored tables. *)
 let prop_top_sensitive_matches_table =
-  Tgen.qtest ~count:80 "top_sensitive = sorted multiplicity table"
+  Tgen.qtest ~count:120 "top_sensitive = sorted multiplicity table"
     instance_gen print_instance (fun (cq, db) ->
       let a = Tsens.analyze cq db in
-      List.for_all
-        (fun relation ->
-          let table = Tsens.multiplicity_table a relation in
-          let expected =
-            let rows = Array.copy (Relation.rows table) in
-            Array.sort
-              (fun (t1, c1) (t2, c2) ->
-                match compare c2 c1 with 0 -> Tuple.compare t1 t2 | c -> c)
-              rows;
-            Array.to_list rows
-            |> List.filteri (fun i _ -> i < 5)
-            |> List.map snd
-          in
-          let got = List.map snd (Tsens.top_sensitive a relation 5) in
-          got = expected)
-        (Cq.relation_names cq))
+      List.for_all (top_sensitive_matches_table a) (Cq.relation_names cq))
+
+(* R's table is factored over parts (A) and (C, B): the second part lists
+   its columns out of the table's (A, B, C) order, and every count ties,
+   so only the tuple order decides the ranking. *)
+let test_top_sensitive_part_order () =
+  let cq =
+    Cq.make ~name:"parts"
+      [ ("R", [ "A"; "B"; "C" ]); ("S", [ "C"; "B" ]); ("T", [ "A" ]) ]
+  in
+  let rel attrs rows = Relation.of_rows ~schema:(Schema.of_list attrs) rows in
+  let db =
+    Database.of_list
+      [
+        ("R", rel [ "A"; "B"; "C" ] [ [ v 0; v 0; v 0 ] ]);
+        ( "S",
+          rel [ "C"; "B" ]
+            [ [ v 0; v 1 ]; [ v 1; v 0 ]; [ v 0; v 0 ]; [ v 1; v 1 ] ] );
+        ("T", rel [ "A" ] [ [ v 0 ]; [ v 1 ] ]);
+      ]
+  in
+  let a = Tsens.analyze cq db in
+  let _, tables = Tsens.statistics a in
+  Alcotest.(check bool) "R's table is factored" true
+    (List.exists
+       (fun t -> t.Tsens.table_relation = "R" && t.Tsens.factored)
+       tables);
+  Alcotest.(check bool) "rows in order" true (top_sensitive_matches_table a "R")
 
 let test_statistics_fig3 () =
   let a = Tsens.analyze fig3_cq fig3_db in
@@ -798,6 +834,8 @@ let () =
           Alcotest.test_case "top sensitive fig3" `Quick
             test_top_sensitive_fig3;
           prop_top_sensitive_matches_table;
+          Alcotest.test_case "top sensitive part order" `Quick
+            test_top_sensitive_part_order;
           Alcotest.test_case "statistics fig3" `Quick test_statistics_fig3;
         ] );
       ( "approx",

@@ -31,16 +31,16 @@ let schema_gen =
     let attrs = if attrs = [] then [ "A" ] else attrs in
     return (Schema.of_list attrs))
 
-let relation_of_schema_gen schema =
+let relation_of_schema_gen ?(count_gen = QCheck2.Gen.int_range 1 3) schema =
   QCheck2.Gen.(
     list_size (int_range 0 12)
-      (pair (tuple_gen (Schema.arity schema)) (int_range 1 3))
+      (pair (tuple_gen (Schema.arity schema)) count_gen)
     >>= fun rows -> return (Relation.create ~schema rows))
 
 let relation_gen = QCheck2.Gen.(schema_gen >>= relation_of_schema_gen)
 
 (* A pair of relations guaranteed to share at least one attribute. *)
-let joinable_pair_gen =
+let joinable_pair_of ?count_gen () =
   QCheck2.Gen.(
     schema_gen >>= fun s1 ->
     schema_gen >>= fun s2 ->
@@ -49,8 +49,40 @@ let joinable_pair_gen =
         Schema.union s2 (Schema.of_list [ List.hd (Schema.attrs s1) ])
       else s2
     in
-    relation_of_schema_gen s1 >>= fun r1 ->
-    relation_of_schema_gen s2 >>= fun r2 -> return (r1, r2))
+    relation_of_schema_gen ?count_gen s1 >>= fun r1 ->
+    relation_of_schema_gen ?count_gen s2 >>= fun r2 -> return (r1, r2))
+
+let joinable_pair_gen = joinable_pair_of ()
+
+(* Counts near and at [Count.max_count]: products and group sums
+   saturate. *)
+let saturating_pair_gen =
+  joinable_pair_of
+    ~count_gen:
+      (QCheck2.Gen.oneofl [ 1; 2; (Count.max_count / 2) + 1; Count.max_count ])
+    ()
+
+(* Group schemas covering every way a join's group key can be read from
+   its two sides: the joined schema in and out of order, one side only
+   (also permuted), the common attributes, and the nullary group. *)
+let group_variants a b =
+  let sa = Relation.schema a and sb = Relation.schema b in
+  let rev s = Schema.of_list (List.rev (Schema.attrs s)) in
+  let union = Schema.union sa sb in
+  [ union; rev union; sa; rev sb; Schema.inter sa sb; Schema.empty ]
+
+(* Projection targets of a relation: itself, a permutation, and the
+   nullary schema. *)
+let target_variants r =
+  let s = Relation.schema r in
+  [ s; Schema.of_list (List.rev (Schema.attrs s)); Schema.empty ]
+
+(* A random subset of [s] in random order. *)
+let sub_schema_gen s =
+  QCheck2.Gen.(
+    shuffle_l (Schema.attrs s) >>= fun attrs ->
+    int_range 0 (List.length attrs) >>= fun k ->
+    return (Schema.of_list (List.filteri (fun i _ -> i < k) attrs)))
 
 let print_relation r = Format.asprintf "%a" Relation.pp r
 
