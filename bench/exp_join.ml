@@ -6,9 +6,8 @@
    bit-identical results, and writes BENCH_join.json. Rows/sec is
    (|R| + |S|) / seconds — the input volume a kernel consumes, which is
    comparable across kernels that materialize different amounts of
-   output. host_cores is recorded because above the parallel cutoff both
-   engines partition onto the pool, so absolute numbers depend on the
-   machine.
+   output. host_cores is recorded because absolute numbers depend on
+   the machine.
 
    The data is a bowtie join: R(A,B) with A unique and B = i mod (n/2),
    S(B,C) with C unique and the same B distribution — every key matches,

@@ -141,12 +141,12 @@ let parallel_cmd =
       & info [ "out" ] ~docv:"FILE" ~doc:"Output JSON path.")
   in
   cmd "parallel"
-    "Jobs sweep of the parallel kernels; checks results are identical \
-     across job counts and writes BENCH_parallel.json."
+    "Jobs sweep (1 and 2) of the fan-out call sites; checks results are \
+     identical across job counts and writes BENCH_parallel.json."
     Term.(
       const (fun seed scale repeats out ->
           Exp_parallel.run ~seed ~scale ~repeats ~out)
-      $ seed_arg $ scale_arg 0.01 $ repeats $ out)
+      $ seed_arg $ scale_arg 0.0001 $ repeats $ out)
 
 let cache_cmd =
   let repeats =

@@ -48,10 +48,9 @@ let jobs_arg =
     & opt (some int) None
     & info [ "j"; "jobs" ] ~docv:"N"
         ~doc:
-          "Worker domains for the parallel kernels (default: the \
-           $(b,TSENS_JOBS) environment variable, else the recommended \
-           domain count). $(b,1) disables parallelism; results are \
-           identical at any job count.")
+          "Domains for the naive oracle's probes, the one parallel site \
+           (default: the $(b,TSENS_JOBS) environment variable, else \
+           $(b,1)). Results are identical at any job count.")
 
 let apply_jobs = function None -> () | Some n -> Exec.set_jobs n
 

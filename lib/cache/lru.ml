@@ -1,7 +1,7 @@
 (* Hash table + doubly-linked recency list; the list's front is the
    most-recently-used entry, its back the eviction candidate. All
    operations hold [lock], so the structure is safe to share across the
-   exec pool's worker domains. *)
+   domains of an exec region. *)
 
 type 'a node = {
   key : string;

@@ -4,8 +4,8 @@
     recency list, capped at a fixed number of entries. [find] promotes
     its entry to most-recently-used; [add] evicts from the cold end once
     the capacity is exceeded. Every operation takes an internal mutex,
-    so one store may be probed from several pool domains (lib/exec) at
-    once; values are computed {e outside} the lock by callers, so a
+    so one store may be probed from several domains (lib/exec regions)
+    at once; values are computed {e outside} the lock by callers, so a
     race's worst case is computing the same deterministic value twice.
 
     Byte accounting is approximate and caller-defined: the optional

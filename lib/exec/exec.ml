@@ -1,36 +1,30 @@
-(* A fixed pool of worker domains behind fork-join primitives.
+(* Spawn-per-region fork-join.
 
-   Shape: one global task queue under one mutex/condition pair. A
-   parallel region enqueues its chunk tasks and the calling domain then
-   drains the queue alongside the workers until the region's pending
-   count reaches zero — the coordinator is never parked while work it
-   could do sits queued. Each task is wrapped so that it records the
-   region's first exception instead of unwinding a worker, and the
-   region's join re-raises it with the original backtrace.
+   A region owns everything it uses: an atomic cursor over its items,
+   one result slot and one failure slot per item, and the domains it
+   spawned. The calling domain claims items alongside the workers, and
+   the region joins every worker before it returns, so no domain (and no
+   minor heap taking part in stop-the-world collections) survives the
+   work it was spawned for.
 
-   Determinism: the primitives assign chunk results to slots indexed by
-   chunk position and merge in index order, so scheduling never leaks
-   into results. Nested calls (a task calling back into the pool) run
-   sequentially in their own domain via a domain-local flag — the pool
-   cannot deadlock on re-entrant use, and operators stay composable. *)
+   Determinism: item [i]'s result goes to slot [i] whichever domain ran
+   it, and the failure re-raised is the first in item order. Nested
+   calls (an item calling back into a primitive) run sequentially in
+   their own domain via a domain-local flag, so a region never spawns
+   domains from inside another. *)
 
 (* ------------------------------------------------------------------ *)
 (* Sizing *)
 
 let clamp_jobs n = if n < 1 then 1 else if n > 64 then 64 else n
 
-let env_jobs () =
+let default_jobs () =
   match Sys.getenv_opt "TSENS_JOBS" with
-  | None -> None
+  | None -> 1
   | Some s -> (
       match int_of_string_opt (String.trim s) with
-      | Some n when n >= 1 -> Some (clamp_jobs n)
-      | Some _ | None -> None)
-
-let default_jobs () =
-  match env_jobs () with
-  | Some n -> n
-  | None -> clamp_jobs (Domain.recommended_domain_count ())
+      | Some n when n >= 1 -> clamp_jobs n
+      | Some _ | None -> 1)
 
 let requested : int option ref = ref None
 let jobs () = match !requested with Some n -> n | None -> default_jobs ()
@@ -41,168 +35,49 @@ let with_jobs j f =
   set_jobs j;
   Fun.protect ~finally:(fun () -> requested := saved) f
 
-let cutoff = ref 4096
-let set_sequential_cutoff n = cutoff := max 1 n
-let sequential_cutoff () = !cutoff
-
-(* ------------------------------------------------------------------ *)
-(* Pool *)
-
-let mutex = Mutex.create ()
-let cond = Condition.create ()
-let queue : (unit -> unit) Queue.t = Queue.create ()
-let workers : unit Domain.t list ref = ref []
-let stopping = ref false
-
-(* True while this domain is executing a region task; parallel calls
-   made under it run sequentially (the nested-call guard). Workers set
-   it once and forever — they only ever run tasks. *)
-let in_task : bool Domain.DLS.key = Domain.DLS.new_key (fun () -> false)
-
-let rec worker_loop () =
-  let task =
-    Mutex.protect mutex (fun () ->
-        while Queue.is_empty queue && not !stopping do
-          Condition.wait cond mutex
-        done;
-        Queue.take_opt queue)
-  in
-  match task with
-  | None -> ()
-  | Some t ->
-      t ();
-      worker_loop ()
-
-let worker () =
-  Domain.DLS.set in_task true;
-  worker_loop ()
-
-(* Callers hold no lock; sizing races are benign (at worst one extra
-   check under the mutex). *)
-let ensure_workers n =
-  Mutex.protect mutex (fun () ->
-      if not !stopping then
-        for _ = List.length !workers + 1 to n do
-          workers := Domain.spawn worker :: !workers
-        done)
-
-let shutdown () =
-  let ws =
-    Mutex.protect mutex (fun () ->
-        stopping := true;
-        Condition.broadcast cond;
-        let ws = !workers in
-        workers := [];
-        ws)
-  in
-  List.iter Domain.join ws;
-  Mutex.protect mutex (fun () -> stopping := false)
-
-let () = at_exit shutdown
-
 (* ------------------------------------------------------------------ *)
 (* Regions *)
 
-type region = {
-  mutable pending : int;
-  mutable failed : (exn * Printexc.raw_backtrace) option;
-}
-
-let sequential tasks = Array.iter (fun f -> f ()) tasks
-
-let run_tasks tasks =
-  let n = Array.length tasks in
-  if n = 0 then ()
-  else if n = 1 then tasks.(0) ()
-  else if jobs () <= 1 || Domain.DLS.get in_task || !stopping then
-    sequential tasks
-  else begin
-    ensure_workers (jobs () - 1);
-    let region = { pending = n; failed = None } in
-    let wrap f () =
-      (try f ()
-       with e ->
-         let bt = Printexc.get_raw_backtrace () in
-         Mutex.protect mutex (fun () ->
-             if region.failed = None then region.failed <- Some (e, bt)));
-      Mutex.protect mutex (fun () ->
-          region.pending <- region.pending - 1;
-          if region.pending = 0 then Condition.broadcast cond)
-    in
-    Mutex.protect mutex (fun () ->
-        Array.iter (fun f -> Queue.add (wrap f) queue) tasks;
-        Condition.broadcast cond);
-    Domain.DLS.set in_task true;
-    let rec drive () =
-      let action =
-        Mutex.protect mutex (fun () ->
-            if region.pending = 0 then `Done
-            else
-              match Queue.take_opt queue with
-              | Some t -> `Run t
-              | None ->
-                  Condition.wait cond mutex;
-                  `Again)
-      in
-      match action with
-      | `Done -> ()
-      | `Run t ->
-          t ();
-          drive ()
-      | `Again -> drive ()
-    in
-    drive ();
-    Domain.DLS.set in_task false;
-    match region.failed with
-    | Some (e, bt) -> Printexc.raise_with_backtrace e bt
-    | None -> ()
-  end
-
-let pays_off n =
-  n >= !cutoff && jobs () > 1 && not (Domain.DLS.get in_task)
-
-(* A few chunks per domain smooths uneven per-item cost without drowning
-   the queue in tiny tasks. *)
-let default_chunks n =
-  let j = jobs () in
-  if j <= 1 then 1 else min n (4 * j)
-
-let parallel_for ?chunks lo hi body =
-  let n = hi - lo in
-  if n <= 0 then ()
-  else
-    let k =
-      match chunks with
-      | Some c -> max 1 (min n c)
-      | None -> default_chunks n
-    in
-    if k <= 1 then
-      for i = lo to hi - 1 do
-        body i
-      done
-    else
-      run_tasks
-        (Array.init k (fun c ->
-             let start = lo + (n * c / k) and stop = lo + (n * (c + 1) / k) in
-             fun () ->
-               for i = start to stop - 1 do
-                 body i
-               done))
+(* True while this domain is running region items: primitives called
+   under it run sequentially (the nested-call guard). *)
+let in_region : bool Domain.DLS.key = Domain.DLS.new_key (fun () -> false)
 
 let parallel_map f arr =
   let n = Array.length arr in
-  if n = 0 then [||]
-  else
-    let k = default_chunks n in
-    if k <= 1 then Array.map f arr
-    else begin
-      let parts = Array.make k [||] in
-      run_tasks
-        (Array.init k (fun c ->
-             let start = n * c / k and stop = n * (c + 1) / k in
-             fun () ->
-               parts.(c) <- Array.init (stop - start) (fun i -> f arr.(start + i))));
-      Array.concat (Array.to_list parts)
-    end
+  let j = min (jobs ()) n in
+  if j <= 1 || Domain.DLS.get in_region then Array.map f arr
+  else begin
+    let results = Array.make n None and failures = Array.make n None in
+    let next = Atomic.make 0 in
+    let rec claim () =
+      let i = Atomic.fetch_and_add next 1 in
+      if i < n then begin
+        (match f arr.(i) with
+        | y -> results.(i) <- Some y
+        | exception e -> failures.(i) <- Some (e, Printexc.get_raw_backtrace ()));
+        claim ()
+      end
+    in
+    let work () =
+      Domain.DLS.set in_region true;
+      claim ()
+    in
+    (* A domain that cannot be spawned only leaves more items to the
+       others: the calling domain alone still claims all of them. *)
+    let workers = ref [] in
+    (try
+       for _ = 2 to j do
+         workers := Domain.spawn work :: !workers
+       done
+     with Failure _ -> ());
+    work ();
+    Domain.DLS.set in_region false;
+    List.iter Domain.join !workers;
+    Array.iter
+      (function
+        | Some (e, bt) -> Printexc.raise_with_backtrace e bt | None -> ())
+      failures;
+    Array.map Option.get results
+  end
 
 let parallel_map_list f l = Array.to_list (parallel_map f (Array.of_list l))

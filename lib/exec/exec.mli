@@ -1,86 +1,52 @@
-(** Multicore execution: a process-wide pool of worker domains and
-    fork-join parallel primitives with deterministic merge order.
+(** Multicore execution: spawn-per-region fork-join over OCaml domains.
 
-    The pool is a fixed set of [Domain.spawn] workers created lazily on
-    the first parallel region and joined at process exit. A parallel
-    region splits its work into chunks, queues them, lets the calling
-    domain execute chunks alongside the workers, and returns once every
-    chunk has finished. Callers never observe scheduling: results are
-    merged in chunk-index order, so every primitive returns exactly what
-    its sequential counterpart would.
+    The library runs sequentially unless a caller opts in with
+    {!set_jobs}, [--jobs] or [TSENS_JOBS]. Above one job a parallel
+    region spawns [jobs () - 1] domains, lets them and the calling
+    domain claim the region's items one at a time, and joins the
+    domains before it returns: no worker domain outlives the region it
+    was spawned for, so sequential work never shares the heap with idle
+    domains. Callers never observe scheduling: results land in item
+    order, so every primitive returns exactly what its sequential
+    counterpart would.
+
+    Only coarse per-item fan-outs use these primitives (TSens's
+    per-relation multiplicity tables, the naive oracle's probes): each
+    item is a whole sub-computation, large enough to pay for a domain
+    spawn.
 
     Concurrency contract:
-    - With [jobs () = 1] (the default when the machine has one core, or
-      after [set_jobs 1]) every primitive runs sequentially in the
-      calling domain — the pool is bypassed entirely.
-    - A parallel call made from inside a region task (any nesting) runs
-      sequentially in its own domain; the pool never deadlocks on
-      re-entrant use.
-    - If a task raises, the remaining tasks of the region still run; the
-      first exception (with its backtrace) is re-raised at the join in
-      the calling domain. *)
+    - With [jobs () = 1] (the default) every primitive runs
+      sequentially in the calling domain; no domain is spawned.
+    - A parallel call made from inside a region item (any nesting) runs
+      sequentially in its own domain.
+    - If an item raises, the remaining items still run; the exception of
+      the first failing item in item order is re-raised, with its
+      backtrace, once the region has joined. *)
 
 (** {1 Sizing} *)
 
 val default_jobs : unit -> int
-(** The pool size used unless {!set_jobs} overrides it: the
-    [TSENS_JOBS] environment variable if set to a positive integer,
-    otherwise [Domain.recommended_domain_count ()]. Clamped to
-    [\[1, 64\]]. *)
+(** The job count used unless {!set_jobs} overrides it: the
+    [TSENS_JOBS] environment variable if set to a positive integer
+    (clamped to [\[1, 64\]]), otherwise 1. *)
 
 val jobs : unit -> int
-(** The current pool size (coordinating domain included). *)
+(** The current job count (calling domain included). *)
 
 val set_jobs : int -> unit
-(** Override the pool size, clamped to [\[1, 64\]]. [set_jobs 1]
-    disables parallel execution; it does not tear down already-spawned
-    workers (they idle). *)
+(** Override the job count, clamped to [\[1, 64\]]. *)
 
 val with_jobs : int -> (unit -> 'a) -> 'a
-(** [with_jobs j f] runs [f] with the pool sized to [j], restoring the
-    previous setting afterwards (also on exceptions). Intended for tests
-    and benchmarks that sweep job counts. *)
-
-val pays_off : int -> bool
-(** [pays_off n] decides whether splitting [n] cheap per-item work units
-    is worth a parallel region: true iff [jobs () > 1], the caller is
-    not already inside a region, and [n] reaches the sequential cutoff
-    (see {!set_sequential_cutoff}). Work whose items are individually
-    expensive (e.g. whole query evaluations) should ignore this and
-    call the primitives directly — they fall back to sequential
-    execution on their own when parallelism is unavailable. *)
-
-val set_sequential_cutoff : int -> unit
-(** Lower bound on [n] for {!pays_off} (default 4096; clamped to
-    [>= 1]). Tests lower it to force the partitioned code paths onto
-    small inputs. *)
-
-val sequential_cutoff : unit -> int
+(** [with_jobs j f] runs [f] with the job count set to [j], restoring
+    the previous setting afterwards (also on exceptions). Intended for
+    tests and benchmarks that sweep job counts. *)
 
 (** {1 Fork-join primitives} *)
 
-val run_tasks : (unit -> unit) array -> unit
-(** Run every task to completion, on the pool when available. Tasks must
-    synchronize through their own disjoint state; the join provides the
-    happens-before edge that makes their writes visible to the caller. *)
-
-val parallel_for : ?chunks:int -> int -> int -> (int -> unit) -> unit
-(** [parallel_for lo hi body] runs [body i] for [lo <= i < hi], split
-    into at most [chunks] (default: a small multiple of [jobs ()])
-    contiguous ranges. Iterations must be independent. *)
-
 val parallel_map : ('a -> 'b) -> 'a array -> 'b array
-(** Chunked map; the result is element-for-element [Array.map f arr]
-    regardless of scheduling. *)
+(** [Array.map f arr], with the items computed by up to [jobs ()]
+    domains. *)
 
 val parallel_map_list : ('a -> 'b) -> 'a list -> 'b list
-(** [List.map f l], computing elements on the pool. Suits small lists of
-    expensive items (per-relation fan-outs): each element becomes its
-    own task once the list is shorter than the chunk budget. *)
-
-(** {1 Lifecycle} *)
-
-val shutdown : unit -> unit
-(** Signal the workers to exit and join them. Called automatically at
-    process exit; safe to call twice. Subsequent parallel regions
-    respawn the pool. *)
+(** [List.map f l], computed as {!parallel_map}. *)

@@ -3,8 +3,8 @@
    immutable-after-startup ref, so instrumentation costs a branch until
    someone flips the toggle.
 
-   Domain safety: instrumented operators may run on pool worker domains
-   (lib/exec). The coordinating domain — the one that loaded this module
+   Domain safety: instrumented operators may run on the worker domains
+   of a parallel region (lib/exec). The coordinating domain — the one that loaded this module
    — keeps the original unsynchronized fast path: a plain field update
    per event. Every other domain writes into its own domain-local cell,
    registered once per (domain, handle) under a mutex; report capture

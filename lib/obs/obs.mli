@@ -13,8 +13,8 @@
     it inside an open span leaves that span unrecorded but is otherwise
     harmless.
 
-    Counters and gauges are domain-safe: events from pool worker domains
-    (lib/exec) land in per-domain cells that {!Report.capture} and
+    Counters and gauges are domain-safe: events from worker domains
+    (lib/exec regions) land in per-domain cells that {!Report.capture} and
     {!reset} fold back into the totals, so instrumented operators can
     run inside parallel regions. Spans are recorded only on the
     coordinating domain — the one that loaded this module; a span opened

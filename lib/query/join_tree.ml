@@ -143,23 +143,20 @@ let of_cq cq =
   match Gyo.decompose cq with
   | Gyo.Cyclic _ -> None
   | Gyo.Acyclic steps ->
-      let root = ref None in
-      let parent_map =
+      (* A connected query's only witness-free ear is its last one. *)
+      let root, parent_map =
         List.fold_left
-          (fun acc { Gyo.ear; witness } ->
+          (fun (root, acc) { Gyo.ear; witness } ->
             match witness with
-            | Some w -> SMap.add ear w acc
-            | None ->
-                root := Some ear;
-                acc)
-          SMap.empty steps
+            | Some w -> (root, SMap.add ear w acc)
+            | None -> (Some ear, acc))
+          (None, SMap.empty) steps
       in
-      let root =
-        match !root with
-        | Some r -> r
-        | None -> assert false (* connected + acyclic always yields a root *)
-      in
-      Some (build cq root parent_map)
+      match root with
+      | Some root -> Some (build cq root parent_map)
+      | None ->
+          Errors.schema_errorf "CQ %s has no atom to root a join tree at"
+            (Cq.name cq)
 
 let of_cq_exn cq =
   match of_cq cq with

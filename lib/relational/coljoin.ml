@@ -8,32 +8,14 @@
    tables with no boxed value in sight. Tuples reappear only when a
    result decodes back through {!Relation.of_encoded}.
 
-   Above the parallel cutoff the kernels radix-partition both sides by
-   the mixed key id (equal keys land in the same partition by
-   construction) and run one partition per pool task, mirroring the row
-   engine's partition-parallel plan; per-partition results merge in
-   partition order. Every output is canonicalized the same way as the
-   row path (saturating order-free count sums, non-positive groups
-   dropped, rows sorted by [Tuple.compare]), so results are
-   bit-identical to the row kernels at any job count — pinned by
-   test_storage's equivalence properties. *)
+   Every output is canonicalized the same way as the row path
+   (saturating order-free count sums, non-positive groups dropped, rows
+   sorted by [Tuple.compare]), so results are bit-identical to the row
+   kernels — pinned by test_storage's equivalence properties. *)
 
 let c_rows = Obs.counter "join.rows_emitted"
 let c_sat = Obs.counter "count.saturations"
 let g_groups = Obs.gauge "join.max_group_table_rows"
-
-(* Same transition rule as Join.add_tracked: tick the saturation counter
-   when an aggregation crosses max_count even though both operands were
-   finite. *)
-let add_tracked prev cnt =
-  let sum = Count.add prev cnt in
-  if
-    Obs.enabled ()
-    && Count.is_saturated sum
-    && not (Count.is_saturated prev)
-    && not (Count.is_saturated cnt)
-  then Obs.tick c_sat;
-  sum
 
 type plan = {
   combined : Schema.t;
@@ -81,102 +63,63 @@ let make_plan a b =
   in
   { combined; ca; cb; lsig; rsig; right_extra }
 
-let pair_size a b = Relation.distinct_count a + Relation.distinct_count b
-
-(* Radix routing: partition of a key signature. Signatures are dense
-   sequential ids, so they go through the avalanche mixer before the
-   modulo. Unmatchable left rows (signature -1) route to -1: no
-   partition touches them. *)
-let partition_of parts s = if s < 0 then -1 else Intkey.mix s mod parts
-
-let partition_ids parts sigs =
-  if Array.length sigs >= 4096 then
-    Exec.parallel_map (partition_of parts) sigs
-  else Array.map (partition_of parts) sigs
-
-(* Run [body p] for every partition in parallel; results in partition
-   order. [body] must only read shared state and write its own slot. *)
-let each_partition parts body =
-  let out = Array.make parts None in
-  Exec.parallel_for ~chunks:parts 0 parts (fun p -> out.(p) <- Some (body p));
-  Array.to_list out |> List.filter_map Fun.id
-
 (* ------------------------------------------------------------------ *)
 (* count_join: |a ⋈ b| without materializing anything. Per key id the
    right side contributes a summed multiplicity; each left row adds
-   count(left) * that sum. The select predicates restrict each side to
-   one partition's rows (constant true on the sequential path). *)
+   count(left) * that sum. Left rows whose signature is -1 match
+   nothing. *)
 
-let count_partition plan lselect rselect =
+let count_join a b =
+  let plan = make_plan a b in
   let nb = Colrel.nrows plan.cb and na = Colrel.nrows plan.ca in
   let bcounts = Colrel.counts plan.cb and acounts = Colrel.counts plan.ca in
   let tab = Intkey.Itab.create (max 16 nb) in
   for j = 0 to nb - 1 do
-    if rselect j then Intkey.Itab.add_count tab plan.rsig.(j) bcounts.(j)
+    Intkey.Itab.add_count tab plan.rsig.(j) bcounts.(j)
   done;
   let total = ref Count.zero in
   for i = 0 to na - 1 do
-    if lselect i then begin
+    if plan.lsig.(i) >= 0 then begin
       let group = Intkey.Itab.find tab plan.lsig.(i) ~default:0 in
       if group > 0 then
-        total := add_tracked !total (Count.mul acounts.(i) group)
+        total := Count.add_tracked !total (Count.mul acounts.(i) group)
     end
   done;
   !total
-
-let all _ = true
-
-let count_join a b =
-  let plan = make_plan a b in
-  if not (Exec.pays_off (pair_size a b)) then
-    count_partition plan (fun i -> plan.lsig.(i) >= 0) all
-  else begin
-    let parts = Exec.jobs () in
-    let lpart = partition_ids parts plan.lsig in
-    let rpart = partition_ids parts plan.rsig in
-    let totals =
-      each_partition parts (fun p ->
-          count_partition plan
-            (fun i -> lpart.(i) = p)
-            (fun j -> rpart.(j) = p))
-    in
-    List.fold_left add_tracked Count.zero totals
-  end
 
 (* ------------------------------------------------------------------ *)
 (* natural_join: materialize the combined rows. Every output row embeds
    its full left row, and two right partners of one left row that agreed
    on the key and every extra column would be the same (distinct) right
-   row — so outputs are distinct, across partitions too, and go straight
-   through Relation.of_encoded with no grouping pass. *)
+   row — so outputs are distinct and go straight through
+   Relation.of_encoded with no grouping pass. *)
 
-(* Chained right-row index for one partition: [heads] maps a key id to
-   the most recently seen right row, [next] threads the rest. Probing
-   walks newest-first; output order is canonicalized later, so chain
-   order is irrelevant. *)
-let build_chains plan rselect =
+(* Chained right-row index: [heads] maps a key id to the most recently
+   seen right row, [next] threads the rest. Probing walks newest-first;
+   output order is canonicalized later, so chain order is irrelevant. *)
+let build_chains plan =
   let nb = Colrel.nrows plan.cb in
   let heads = Intkey.Itab.create (max 16 nb) in
   let next = Array.make (max 1 nb) (-1) in
   for j = 0 to nb - 1 do
-    if rselect j then
-      next.(j) <- Intkey.Itab.exchange heads plan.rsig.(j) j ~default:(-1)
+    next.(j) <- Intkey.Itab.exchange heads plan.rsig.(j) j ~default:(-1)
   done;
   (heads, next)
 
-let join_partition plan lselect rselect =
+let natural_join a b =
+  let plan = make_plan a b in
   let na = Colrel.nrows plan.ca in
   let acounts = Colrel.counts plan.ca and bcounts = Colrel.counts plan.cb in
   let la = Colrel.arity plan.ca in
   let ne = Array.length plan.right_extra in
-  let heads, next = build_chains plan rselect in
+  let heads, next = build_chains plan in
   let acols = Array.init la (Colrel.col plan.ca) in
   let ecols = Array.map (Colrel.col plan.cb) plan.right_extra in
   let out = Array.init (la + ne) (fun _ -> Intkey.Ibuf.create 64) in
   let counts = Intkey.Ibuf.create 64 in
   let live = Obs.enabled () in
   for i = 0 to na - 1 do
-    if lselect i then begin
+    if plan.lsig.(i) >= 0 then begin
       let j = ref (Intkey.Itab.find heads plan.lsig.(i) ~default:(-1)) in
       while !j >= 0 do
         for jc = 0 to la - 1 do
@@ -195,37 +138,15 @@ let join_partition plan lselect rselect =
       done
     end
   done;
-  (Array.map Intkey.Ibuf.to_array out, Intkey.Ibuf.to_array counts)
-
-let natural_join a b =
-  let plan = make_plan a b in
-  let cols, counts =
-    if not (Exec.pays_off (pair_size a b)) then
-      join_partition plan (fun i -> plan.lsig.(i) >= 0) all
-    else begin
-      let parts = Exec.jobs () in
-      let lpart = partition_ids parts plan.lsig in
-      let rpart = partition_ids parts plan.rsig in
-      let pieces =
-        each_partition parts (fun p ->
-            join_partition plan
-              (fun i -> lpart.(i) = p)
-              (fun j -> rpart.(j) = p))
-      in
-      let ncols = Colrel.arity plan.ca + Array.length plan.right_extra in
-      ( Array.init ncols (fun jc ->
-            Array.concat (List.map (fun (cs, _) -> cs.(jc)) pieces)),
-        Array.concat (List.map snd pieces) )
-    end
-  in
-  Relation.of_encoded (Colrel.make ~schema:plan.combined ~cols ~counts)
+  Relation.of_encoded
+    (Colrel.make ~schema:plan.combined
+       ~cols:(Array.map Intkey.Ibuf.to_array out)
+       ~counts:(Intkey.Ibuf.to_array counts))
 
 (* ------------------------------------------------------------------ *)
 (* join_project: the fused γ_group(a ⋈ b) — matches stream into an
    integer group-by keyed on the [group] columns of the (never
-   materialized) combined row. Group keys need not contain the join key,
-   so one group can span partitions: per-partition accumulators merge in
-   the integer domain before the single decode. *)
+   materialized) combined row, decoded once at the end. *)
 
 (* Group accumulator keyed by an int vector of [garity] components,
    specialized per arity: nullary groups are a single total, unary
@@ -257,18 +178,19 @@ let grouper garity hint =
 let grouper_add g key cnt =
   if g.garity = 0 then begin
     g.any <- true;
-    g.nullary <- add_tracked g.nullary cnt
+    g.nullary <- Count.add_tracked g.nullary cnt
   end
   else if g.garity = 1 then begin
     let prev = Intkey.Itab.find g.tab key.(0) ~default:0 in
-    Intkey.Itab.set g.tab key.(0) (add_tracked prev cnt)
+    Intkey.Itab.set g.tab key.(0) (Count.add_tracked prev cnt)
   end
   else begin
     let kd = Option.get g.kd in
     let id = Intkey.Keydict.lookup_or_add kd key in
     if id = Intkey.Ibuf.length g.sums then Intkey.Ibuf.push g.sums cnt
     else
-      Intkey.Ibuf.set g.sums id (add_tracked (Intkey.Ibuf.get g.sums id) cnt)
+      Intkey.Ibuf.set g.sums id
+        (Count.add_tracked (Intkey.Ibuf.get g.sums id) cnt)
   end
 
 let grouper_size g =
@@ -304,14 +226,14 @@ let grouper_iter g f =
 (* [gsrcs] resolves each group column to its source column on one side:
    positions below the left arity read the left row, the rest read the
    matched right row's extra columns. *)
-let project_partition plan gsrcs garity lselect rselect =
+let group_matches plan gsrcs garity =
   let na = Colrel.nrows plan.ca in
   let acounts = Colrel.counts plan.ca and bcounts = Colrel.counts plan.cb in
-  let heads, next = build_chains plan rselect in
+  let heads, next = build_chains plan in
   let g = grouper garity 1024 in
   let live = Obs.enabled () in
   for i = 0 to na - 1 do
-    if lselect i then begin
+    if plan.lsig.(i) >= 0 then begin
       let j = ref (Intkey.Itab.find heads plan.lsig.(i) ~default:(-1)) in
       while !j >= 0 do
         Array.iteri
@@ -346,27 +268,7 @@ let join_project ~group a b =
       positions
   in
   let garity = Array.length positions in
-  let final =
-    if not (Exec.pays_off (pair_size a b)) then
-      project_partition plan gsrcs garity (fun i -> plan.lsig.(i) >= 0) all
-    else begin
-      let parts = Exec.jobs () in
-      let lpart = partition_ids parts plan.lsig in
-      let rpart = partition_ids parts plan.rsig in
-      let partials =
-        each_partition parts (fun p ->
-            project_partition plan gsrcs garity
-              (fun i -> lpart.(i) = p)
-              (fun j -> rpart.(j) = p))
-      in
-      (* Groups may span partitions (the group key need not contain the
-         join key): merge in the integer domain. Saturating addition is
-         order-free, so the merge order cannot affect totals. *)
-      let merged = grouper garity 1024 in
-      List.iter (fun g -> grouper_iter g (grouper_add merged)) partials;
-      merged
-    end
-  in
+  let final = group_matches plan gsrcs garity in
   let n = grouper_size final in
   let cols = Array.init garity (fun _ -> Array.make n 0) in
   let counts = Array.make n 0 in

@@ -5,8 +5,7 @@
     collapse to single ints (raw {!Dict} ids for one-column keys, dense
     {!Intkey.Keydict} ids otherwise), and the hash build/probe loops run
     over open-addressing int tables. Results are bit-identical to the
-    row kernels at every job count; above the parallel cutoff the
-    kernels radix-partition by mixed key id onto the {!Exec} pool. *)
+    row kernels. *)
 
 val natural_join : Relation.t -> Relation.t -> Relation.t
 (** Bag natural join; counted cross product on disjoint schemas. *)

@@ -79,7 +79,7 @@ let group_by ~schema positions t =
   let n = t.nrows in
   if k = 0 then begin
     (* γ over no attributes: one nullary row carrying the bag total. *)
-    let total = Array.fold_left Count.add Count.zero t.counts in
+    let total = Array.fold_left Count.add_tracked Count.zero t.counts in
     if n = 0 || total <= 0 then
       { schema; nrows = 0; cols = [||]; counts = [||];
         generation = t.generation }
@@ -121,7 +121,9 @@ let group_by ~schema positions t =
       done;
       let g = Intkey.Keydict.lookup_or_add kd scratch in
       if g = Intkey.Ibuf.length sums then Intkey.Ibuf.push sums t.counts.(i)
-      else Intkey.Ibuf.set sums g (Count.add (Intkey.Ibuf.get sums g) t.counts.(i))
+      else
+        Intkey.Ibuf.set sums g
+          (Count.add_tracked (Intkey.Ibuf.get sums g) t.counts.(i))
     done;
     let groups = Intkey.Keydict.length kd in
     let keep = Intkey.Ibuf.create groups in

@@ -7,6 +7,17 @@ let is_saturated c = c = max_count
 
 let add a b = if a > max_count - b then max_count else a + b
 
+let c_sat = Obs.counter "count.saturations"
+
+(* Tick at the transition only (both operands finite, sum saturated):
+   a sum that merely carries an already-saturated operand was reported
+   where that operand saturated. *)
+let add_tracked a b =
+  let sum = add a b in
+  if is_saturated sum && Obs.enabled () && not (is_saturated a || is_saturated b)
+  then Obs.tick c_sat;
+  sum
+
 let mul a b =
   if a = 0 || b = 0 then 0
   else if a > max_count / b then max_count

@@ -23,6 +23,11 @@ val is_saturated : t -> bool
 val add : t -> t -> t
 (** Saturating addition. *)
 
+val add_tracked : t -> t -> t
+(** [add], for group sums: when two finite operands sum past
+    {!max_count}, ticks the [count.saturations] Obs counter, so an
+    overflow inside a group-by is reported like one in a product. *)
+
 val mul : t -> t -> t
 (** Saturating multiplication. *)
 

@@ -82,13 +82,12 @@ let input ?schema ic =
        let line = input_line ic in
        if String.trim line <> "" then begin
          let fields = split_line line in
-         if List.length fields <> arity + 1 then
-           Errors.data_errorf "CSV row %S has %d fields, expected %d" line
-             (List.length fields) (arity + 1);
          let values, cnt_field =
            match List.rev fields with
-           | c :: rest -> (List.rev rest, c)
-           | [] -> assert false
+           | c :: rest when List.length fields = arity + 1 -> (List.rev rest, c)
+           | _ ->
+               Errors.data_errorf "CSV row %S has %d fields, expected %d" line
+                 (List.length fields) (arity + 1)
          in
          let cnt =
            match int_of_string_opt cnt_field with

@@ -16,7 +16,7 @@
    of mis-decoded.
 
    Concurrency: interning happens on whichever domain encodes a relation
-   (worker domains encode inside join tasks), so the value→id table is
+   (fan-out items encode inside their joins), so the value→id table is
    mutex-guarded. Decoding is the hot read path and takes no lock: the
    id→value array is published by [Atomic.set] after its slots are
    written, grown by copy (a published array is never shrunk and its

@@ -3,12 +3,6 @@
    Groups are frozen as arrays at the end of [build], so join probe
    loops iterate contiguous memory instead of chasing cons cells.
 
-   Above the parallel cutoff the row build is hash-partitioned: part [p]
-   holds exactly the keys whose [Tuple.bucket] is [p], each part built
-   on its own domain with no shared writes, and probes route by the same
-   bucket function. Within a part, rows are scanned in relation order,
-   so the per-key row order is identical to the single-part build.
-
    Under TSENS_STORAGE=columnar the index is built in the integer
    domain instead: the source is encoded once ({!Relation.encoded}), the
    key collapses to one int signature per row (raw dictionary id for
@@ -35,8 +29,6 @@ type group = {
   mutable total : Count.t;
 }
 
-type part = group H.t
-
 (* Columnar impl: [heads]/[next] thread each signature's rows newest
    first (the same per-group order as the row build, which conses in
    relation order), [counts] sums multiplicities per signature. *)
@@ -50,61 +42,36 @@ type cols = {
   dec : (int, (Tuple.t * Count.t) array) Hashtbl.t;
       (* decoded groups by signature, filled lazily on [lookup] so
          repeated probes alias one frozen array (the contract cached
-         indexes rely on); mutex-guarded — lookups may come from
-         worker domains. *)
+         indexes rely on); mutex-guarded — a cached index may be probed
+         from several fan-out domains. *)
   dmutex : Mutex.t;
 }
 
-type impl = Rows of part array | Cols of cols
+type impl = Rows of group H.t | Cols of cols
 
-type t = {
-  key : Schema.t;
-  source : Schema.t;
-  impl : impl; (* Rows: a key lives in parts.(Tuple.bucket key n) *)
-}
+type t = { key : Schema.t; source : Schema.t; impl : impl }
 
-(* Build one part from the rows whose precomputed bucket matches; [keys]
-   holds the per-row key projections. The temporary cons lists reverse
-   row order, as the frozen arrays' contract requires (newest first,
-   matching the historical list-based index). *)
-let build_part rows keys select size =
-  let part = H.create size in
-  Array.iteri
-    (fun i row ->
-      if select i then
-        match H.find_opt part keys.(i) with
-        | Some g ->
-            g.pending <- row :: g.pending;
-            g.total <- Count.add g.total (snd row)
-        | None ->
-            H.add part keys.(i) { pending = [ row ]; rows = [||]; total = snd row })
+(* The temporary cons lists reverse row order, as the frozen arrays'
+   contract requires (newest first, matching the historical list-based
+   index). *)
+let build_rows positions rel =
+  let rows = Relation.rows rel in
+  let table = H.create (max 16 (Array.length rows)) in
+  Array.iter
+    (fun ((tup, cnt) as row) ->
+      let key = Tuple.project positions tup in
+      match H.find_opt table key with
+      | Some g ->
+          g.pending <- row :: g.pending;
+          g.total <- Count.add_tracked g.total cnt
+      | None -> H.add table key { pending = [ row ]; rows = [||]; total = cnt })
     rows;
   H.iter
     (fun _ g ->
       g.rows <- Array.of_list g.pending;
       g.pending <- [])
-    part;
-  part
-
-let build_rows positions rel =
-  let rows = Relation.rows rel in
-  let n = Array.length rows in
-  if not (Exec.pays_off n) then begin
-    let keys = Array.map (fun (tup, _) -> Tuple.project positions tup) rows in
-    [| build_part rows keys (fun _ -> true) (max 16 n) |]
-  end
-  else begin
-    let p = Exec.jobs () in
-    let keys =
-      Exec.parallel_map (fun (tup, _) -> Tuple.project positions tup) rows
-    in
-    let buckets = Exec.parallel_map (fun k -> Tuple.bucket k p) keys in
-    let parts = Array.make p (H.create 0) in
-    Exec.parallel_for ~chunks:p 0 p (fun pi ->
-        parts.(pi) <-
-          build_part rows keys (fun i -> buckets.(i) = pi) (max 16 (n / p)));
-    parts
-  end
+    table;
+  table
 
 (* Per-row key signature over the encoded source: an arity-0 key puts
    every row in one group (signature 0), arity 1 uses the raw dictionary
@@ -165,11 +132,8 @@ let build ~key rel =
     Obs.tick c_builds;
     Obs.add c_rows (Relation.distinct_count rel);
     match impl with
-    | Rows parts ->
-        Array.iter
-          (fun part ->
-            H.iter (fun _ g -> Obs.observe g_group (Array.length g.rows)) part)
-          parts
+    | Rows table ->
+        H.iter (fun _ g -> Obs.observe g_group (Array.length g.rows)) table
     | Cols c ->
         Intkey.Itab.iter
           (fun _ head ->
@@ -185,10 +149,6 @@ let build ~key rel =
 
 let key_schema t = t.key
 let source_schema t = t.source
-
-let part_of parts k =
-  if Array.length parts = 1 then parts.(0)
-  else parts.(Tuple.bucket k (Array.length parts))
 
 (* Signature of a probe tuple, or -1 when some probe value was never
    interned (then no indexed row can match it). Probing never interns:
@@ -224,8 +184,8 @@ let chain_rows c head =
 let lookup t k =
   Obs.tick c_probes;
   match t.impl with
-  | Rows parts -> (
-      match H.find_opt (part_of parts k) k with Some g -> g.rows | None -> [||])
+  | Rows table -> (
+      match H.find_opt table k with Some g -> g.rows | None -> [||])
   | Cols c ->
       let s = probe_sig c k in
       if s < 0 then [||]
@@ -244,18 +204,15 @@ let lookup t k =
 let group_count t k =
   Obs.tick c_probes;
   match t.impl with
-  | Rows parts -> (
-      match H.find_opt (part_of parts k) k with Some g -> g.total | None -> 0)
+  | Rows table -> (
+      match H.find_opt table k with Some g -> g.total | None -> 0)
   | Cols c ->
       let s = probe_sig c k in
       if s < 0 then 0 else Intkey.Itab.find c.ccounts s ~default:0
 
 let max_group_count t =
   match t.impl with
-  | Rows parts ->
-      Array.fold_left
-        (fun acc part -> H.fold (fun _ g acc -> Count.max g.total acc) part acc)
-        Count.zero parts
+  | Rows table -> H.fold (fun _ g acc -> Count.max g.total acc) table Count.zero
   | Cols c ->
       Intkey.Itab.fold (fun _ cnt acc -> Count.max cnt acc) c.ccounts Count.zero
 
@@ -264,22 +221,14 @@ let max_group_count t =
    row walk touches only table sizes, the columnar one only counters. *)
 let approx_words t =
   match t.impl with
-  | Rows parts ->
-      let words = ref 0 in
-      Array.iter
-        (fun part ->
-          H.iter
-            (fun _ g -> words := !words + 8 + (3 * Array.length g.rows))
-            part)
-        parts;
-      !words
+  | Rows table ->
+      H.fold (fun _ g words -> words + 8 + (3 * Array.length g.rows)) table 0
   | Cols c ->
       (8 * Intkey.Itab.length c.heads) + (3 * Colrel.nrows c.crel)
 
 let iter_groups f t =
   match t.impl with
-  | Rows parts ->
-      Array.iter (fun part -> H.iter (fun k g -> f k g.rows) part) parts
+  | Rows table -> H.iter (fun k g -> f k g.rows) table
   | Cols c ->
       Intkey.Itab.iter
         (fun _ head ->

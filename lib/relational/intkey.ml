@@ -7,8 +7,8 @@
    only immediate ints. *)
 
 (* splitmix64-style finalizer, truncated to OCaml's 63-bit ints and
-   clamped non-negative. Every bucket/partition decision on integer keys
-   routes through this so dense id ranges (the common case: dictionary
+   clamped non-negative. Every slot decision on integer keys routes
+   through this so dense id ranges (the common case: dictionary
    ids are assigned sequentially) spread over all bits. *)
 (* The 64-bit splitmix constants exceed OCaml's int literal range; they
    are assembled from halves and wrap modulo 2^63, which is harmless for
@@ -124,7 +124,7 @@ module Itab = struct
   (* Saturating count accumulation (Count.t is an int). *)
   let add_count t k (c : Count.t) =
     let s = slot t k in
-    if t.keys.(s) = k then t.vals.(s) <- Count.add t.vals.(s) c
+    if t.keys.(s) = k then t.vals.(s) <- Count.add_tracked t.vals.(s) c
     else insert_at t s k c
 
   let length t = t.count

@@ -1,12 +1,12 @@
 (** Integer-key hashing machinery for the columnar kernels: allocation-
     free open-addressing tables over dictionary ids, an FNV-1a composite-
-    key interner, and the avalanche mixer every integer bucket decision
+    key interner, and the avalanche mixer every integer slot decision
     routes through. *)
 
 val mix : int -> int
 (** splitmix64-style finalizer, non-negative. Dictionary ids are dense
-    sequential ints; mixing spreads them over all bits before a slot or
-    partition is taken modulo a power of two (or a job count). *)
+    sequential ints; mixing spreads them over all bits before a slot is
+    taken modulo a power of two. *)
 
 (** Growable int buffer — the kernels' output accumulator. *)
 module Ibuf : sig

@@ -1,16 +1,7 @@
-(* All operators hash-partition the right side on the common attributes
-   and stream the left side through it. The combined tuple layout is
+(* All operators hash the right side on the common attributes and
+   stream the left side through it. The combined tuple layout is
    always: left tuple ++ (right tuple minus common attributes), matching
    [Schema.union left right].
-
-   Above the parallel cutoff the binary operators switch to a
-   partition-parallel plan: both sides are hash-partitioned on the
-   join-key hash into one bucket per pool domain, bucket k of the left
-   joins bucket k of the right on its own domain (equal keys always meet
-   — they share a hash), and the per-partition results merge in bucket
-   order at the barrier. Saturating count addition is associative and
-   commutative and every output is sorted once, so outputs are
-   bit-identical to the sequential plan at any job count.
 
    Each operator hashes an emitted row at most once and sorts its output
    once: rows go to {!Relation.of_grouped}, never back through
@@ -28,21 +19,6 @@ let instrument_emit emit =
     Obs.tick c_rows;
     if Count.is_saturated cnt then Obs.tick c_sat;
     emit ltup rtup cnt
-
-(* Aggregation can saturate even when every emitted row is finite: a
-   per-group sum crosses max_count inside the grouping table, which the
-   emit instrumentation above never sees. Tick the saturation counter at
-   the transition (both operands finite, sum saturated) so overflow that
-   happens in group-by — not in emission — still reaches the report. *)
-let add_tracked prev cnt =
-  let sum = Count.add prev cnt in
-  if
-    Obs.enabled ()
-    && Count.is_saturated sum
-    && not (Count.is_saturated prev)
-    && not (Count.is_saturated cnt)
-  then Obs.tick c_sat;
-  sum
 
 type plan = {
   combined : Schema.t;
@@ -70,7 +46,7 @@ let build_right_index plan right_rel =
 let combine plan left_tup right_tup =
   Tuple.concat left_tup (Tuple.project plan.right_extra right_tup)
 
-(* The sequential probe loop: stream the left side through the right
+(* The probe loop: stream the left side through the right
    side's index and hand each matching pair, with its product count, to
    [emit]. *)
 let probe plan a b emit =
@@ -85,61 +61,6 @@ let probe plan a b emit =
 
 module H = Tuple.Tbl
 
-(* ------------------------------------------------------------------ *)
-(* The partition-parallel core. [emit_partition] receives one partition
-   id plus the per-partition probe driver and returns that partition's
-   result; results are combined in partition order by the caller. The
-   driver builds a local hash table of the right bucket and streams the
-   left bucket through it — the same plan as [probe], confined to
-   one bucket. Emission is by matching pair, as in [probe]. *)
-
-let partitioned plan a b emit_partition =
-  let parts = Exec.jobs () in
-  let project_keys positions rel =
-    let rows = Relation.rows rel in
-    let keys =
-      Exec.parallel_map (fun (tup, _) -> Tuple.project positions tup) rows
-    in
-    let buckets = Exec.parallel_map (fun k -> Tuple.bucket k parts) keys in
-    (rows, keys, buckets)
-  in
-  let right_positions =
-    Schema.positions ~sub:plan.common_right (Relation.schema b)
-  in
-  let left = project_keys plan.common_left a in
-  let right = project_keys right_positions b in
-  let results = Array.make parts None in
-  Exec.parallel_for ~chunks:parts 0 parts (fun p ->
-      let drive emit =
-        let rrows, rkeys, rbuckets = right in
-        let index : (Tuple.t * Count.t) list H.t = H.create 64 in
-        Array.iteri
-          (fun j row ->
-            if rbuckets.(j) = p then begin
-              let prev = try H.find index rkeys.(j) with Not_found -> [] in
-              H.replace index rkeys.(j) (row :: prev)
-            end)
-          rrows;
-        let lrows, lkeys, lbuckets = left in
-        Array.iteri
-          (fun i (ltup, lcnt) ->
-            if lbuckets.(i) = p then
-              match H.find_opt index lkeys.(i) with
-              | None -> ()
-              | Some group ->
-                  List.iter
-                    (fun (rtup, rcnt) -> emit ltup rtup (Count.mul lcnt rcnt))
-                    group
-          )
-          lrows
-      in
-      results.(p) <- Some (emit_partition p drive));
-  Array.to_list results |> List.filter_map Fun.id
-
-(* Total distinct rows on both sides: the size the parallel cutoff is
-   judged against. *)
-let pair_size a b = Relation.distinct_count a + Relation.distinct_count b
-
 (* Each binary operator dispatches on the storage mode up front: the
    columnar kernels (Coljoin) run the same logical plan on dictionary
    ids and are bit-identical to the row implementations below, which
@@ -148,27 +69,13 @@ let pair_size a b = Relation.distinct_count a + Relation.distinct_count b
 (* A natural join's rows are distinct without grouping: the combined
    tuple determines both the left row and the right one. *)
 let natural_join_rows a b =
+  Obs.span "join.stream" @@ fun () ->
   let plan = make_plan (Relation.schema a) (Relation.schema b) in
-  let collect acc =
-    instrument_emit (fun ltup rtup cnt ->
-        acc := (combine plan ltup rtup, cnt) :: !acc)
-  in
-  if not (Exec.pays_off (pair_size a b)) then begin
-    Obs.span "join.stream" @@ fun () ->
-    let acc = ref [] in
-    probe plan a b (collect acc);
-    Relation.of_grouped plan.combined (Array.of_list !acc)
-  end
-  else
-    Obs.span "join.partition" @@ fun () ->
-    let per_partition =
-      partitioned plan a b (fun _p drive ->
-          let acc = ref [] in
-          drive (collect acc);
-          !acc)
-    in
-    Relation.of_grouped plan.combined
-      (Array.of_list (List.concat per_partition))
+  let acc = ref [] in
+  probe plan a b
+    (instrument_emit (fun ltup rtup cnt ->
+         acc := (combine plan ltup rtup, cnt) :: !acc));
+  Relation.of_grouped plan.combined (Array.of_list !acc)
 
 let natural_join a b =
   if Storage.is_columnar () then
@@ -205,7 +112,7 @@ let group_key src (ltup : Tuple.t) (rtup : Tuple.t) : Tuple.t =
    lookup (two only when it opens a group). *)
 let accumulate table key cnt =
   match H.find_opt table key with
-  | Some cell -> cell := add_tracked !cell cnt
+  | Some cell -> cell := Count.add_tracked !cell cnt
   | None -> H.add table key (ref cnt)
 
 let grouped_rows table =
@@ -219,49 +126,14 @@ let grouped_rows table =
     table;
   rows
 
-(* Group keys need not contain the join key, so one group can span
-   partitions: sort the partials together once and sum each run of equal
-   keys — order-free because saturating addition is. The result is
-   sorted, so {!Relation.of_grouped} does not sort it again. *)
-let merge_partials partials =
-  let rows = Array.concat partials in
-  Array.sort (fun (a, _) (b, _) -> Tuple.compare a b) rows;
-  let n = Array.length rows in
-  if n = 0 then rows
-  else begin
-    let last = ref 0 in
-    for i = 1 to n - 1 do
-      let key, cnt = rows.(i) and prev, acc = rows.(!last) in
-      if Tuple.equal key prev then rows.(!last) <- (prev, add_tracked acc cnt)
-      else begin
-        incr last;
-        rows.(!last) <- rows.(i)
-      end
-    done;
-    Array.sub rows 0 (!last + 1)
-  end
-
 let join_project_rows ~group a b =
   let plan = make_plan (Relation.schema a) (Relation.schema b) in
   let src = key_sources group a b in
-  let aggregate table =
-    instrument_emit (fun ltup rtup cnt ->
-        accumulate table (group_key src ltup rtup) cnt)
-  in
-  if not (Exec.pays_off (pair_size a b)) then begin
-    let table = H.create 1024 in
-    probe plan a b (aggregate table);
-    Relation.of_grouped group (grouped_rows table)
-  end
-  else
-    (* The gauge reports the largest per-partition table. *)
-    let partials =
-      partitioned plan a b (fun _p drive ->
-          let table = H.create 1024 in
-          drive (aggregate table);
-          grouped_rows table)
-    in
-    Relation.of_grouped group (merge_partials partials)
+  let table = H.create 1024 in
+  probe plan a b
+    (instrument_emit (fun ltup rtup cnt ->
+         accumulate table (group_key src ltup rtup) cnt));
+  Relation.of_grouped group (grouped_rows table)
 
 let join_project ~group a b =
   Obs.span "join.project" @@ fun () ->
@@ -410,7 +282,7 @@ let semijoin a b =
 let count_join a b =
   Obs.span "join.count" @@ fun () ->
   if Storage.is_columnar () then Coljoin.count_join a b
-  else if not (Exec.pays_off (pair_size a b)) then begin
+  else begin
     let total = ref Count.zero in
     let plan = make_plan (Relation.schema a) (Relation.schema b) in
     let idx = build_right_index plan b in
@@ -418,17 +290,7 @@ let count_join a b =
       (fun ltup lcnt ->
         let key = Tuple.project plan.common_left ltup in
         let group = Index.group_count idx key in
-        total := add_tracked !total (Count.mul lcnt group))
+        total := Count.add_tracked !total (Count.mul lcnt group))
       a;
     !total
-  end
-  else begin
-    let plan = make_plan (Relation.schema a) (Relation.schema b) in
-    let per_partition =
-      partitioned plan a b (fun _p drive ->
-          let total = ref Count.zero in
-          drive (fun _ _ cnt -> total := add_tracked !total cnt);
-          !total)
-    in
-    List.fold_left add_tracked Count.zero per_partition
   end

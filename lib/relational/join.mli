@@ -9,8 +9,8 @@
 val natural_join : Relation.t -> Relation.t -> Relation.t
 (** Natural join on all common attributes; output schema is
     [Schema.union a b]; output multiplicities are products. Hash-based:
-    the right side is partitioned on the common attributes and the left
-    side streamed through it. *)
+    the right side is hashed on the common attributes and the left side
+    streamed through it. *)
 
 val merge_join : Relation.t -> Relation.t -> Relation.t
 (** The same natural join computed by sort-merge — the implementation the

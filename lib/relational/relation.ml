@@ -7,8 +7,8 @@ type t = {
          TSENS_STORAGE=columnar. Per-value, not shared across derived
          relations (rename/scale/filter change what the encoding would
          be), so every constructor mints a fresh cell. Atomic because
-         joins encode on worker domains; the race is benign — both
-         encodings are correct, one wins. *)
+         fan-out items may encode one relation on two domains; the race
+         is benign — both encodings are correct, one wins. *)
 }
 
 (* Version stamps are allocated from one process-wide counter so that no
@@ -16,7 +16,7 @@ type t = {
    immutable, so "mutation" (add/remove/import) always builds a new
    value with a fresh stamp — a cache entry keyed by version can
    therefore never be stale, only unreachable (and LRU eviction reclaims
-   those). Atomic because relations are also built on worker domains. *)
+   those). Atomic because relations are also built on fan-out domains. *)
 let version_counter = Atomic.make 0
 let next_version () = Atomic.fetch_and_add version_counter 1
 let version r = r.version
@@ -60,9 +60,8 @@ let by_tuple (a, _) (b, _) = Tuple.compare a b
 
 (* The trusted constructor every kernel output goes through: the caller
    guarantees distinct tuples of the right arity with positive counts, so
-   the only canonicalization left is the sort. Partial results that are
-   already sorted (the partition-parallel merges) skip it; for anything
-   else the scan stops at the first descent. *)
+   the only canonicalization left is the sort. Rows that arrive sorted
+   skip it; for anything else the scan stops at the first descent. *)
 let of_grouped schema rows =
   let n = Array.length rows in
   let i = ref 1 in
@@ -76,26 +75,7 @@ let of_grouped schema rows =
    distinct tuple and drop non-positive totals. One hash per pair: each
    distinct tuple owns a mutable cell.
 
-   Above the cutoff the pairs are hash-partitioned and each partition is
-   grouped on its own domain: a tuple's partition is a function of its
-   hash, so no key spans two tables, and saturating addition is
-   associative and commutative, so per-partition sums equal the
-   sequential ones — the sorted result is bit-identical to jobs=1. *)
-let group_into table pairs lo hi keep =
-  for i = lo to hi - 1 do
-    if keep i then begin
-      let tup, cnt = pairs.(i) in
-      match T.find_opt table tup with
-      | Some cell -> cell := Count.add !cell cnt
-      | None -> T.add table tup (ref cnt)
-    end
-  done
-
-let table_rows table =
-  T.fold (fun tup cnt acc -> if !cnt > 0 then (tup, !cnt) :: acc else acc)
-    table []
-
-(* The columnar path encodes once and groups in the integer domain —
+   The columnar path encodes once and groups in the integer domain —
    same spec (sum per distinct tuple, drop non-positive, sort), so the
    output is bit-identical to the row path; saturating addition is
    order-free, so the two paths' different accumulation orders cannot
@@ -104,23 +84,17 @@ let grouped schema pairs =
   if Storage.is_columnar () then
     of_encoded (Colrel.group_self (Colrel.of_pairs schema pairs))
   else begin
-    let n = Array.length pairs in
+    let table = T.create (max 16 (Array.length pairs)) in
+    Array.iter
+      (fun (tup, cnt) ->
+        match T.find_opt table tup with
+        | Some cell -> cell := Count.add_tracked !cell cnt
+        | None -> T.add table tup (ref cnt))
+      pairs;
     let rows =
-      if not (Exec.pays_off n) then begin
-        let table = T.create (max 16 n) in
-        group_into table pairs 0 n (fun _ -> true);
-        table_rows table
-      end
-      else begin
-        let parts = Exec.jobs () in
-        let buckets = Exec.parallel_map (fun (tup, _) -> Tuple.bucket tup parts) pairs in
-        let groups = Array.make parts [] in
-        Exec.parallel_for ~chunks:parts 0 parts (fun p ->
-            let table = T.create (max 16 (n / parts)) in
-            group_into table pairs 0 n (fun i -> buckets.(i) = p);
-            groups.(p) <- table_rows table);
-        List.concat (Array.to_list groups)
-      end
+      T.fold
+        (fun tup cnt acc -> if !cnt > 0 then (tup, !cnt) :: acc else acc)
+        table []
     in
     of_grouped schema (Array.of_list rows)
   end
@@ -204,14 +178,9 @@ let project target r =
         (* Column selection is array indexing and the group-by runs on
            ids: no per-row tuple is ever built. *)
         of_encoded (Colrel.group_by ~schema:target positions (encoded r))
-      else begin
-        let key (tup, cnt) = (Tuple.project positions tup, cnt) in
-        let keyed =
-          if Exec.pays_off (Array.length r.rows) then Exec.parallel_map key r.rows
-          else Array.map key r.rows
-        in
-        grouped target keyed
-      end
+      else
+        grouped target
+          (Array.map (fun (tup, cnt) -> (Tuple.project positions tup, cnt)) r.rows)
 
 let filter pred r =
   let rows =
@@ -233,7 +202,7 @@ let add ?(count = 1) tup r =
   let n = Array.length r.rows in
   if i < n && Tuple.equal (fst r.rows.(i)) tup then begin
     let rows = Array.copy r.rows in
-    rows.(i) <- (tup, Count.add (snd rows.(i)) count);
+    rows.(i) <- (tup, Count.add_tracked (snd rows.(i)) count);
     mk r.schema rows
   end
   else

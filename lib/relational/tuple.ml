@@ -21,9 +21,9 @@ let equal a b = compare a b = 0
 
 (* FNV-1a-style accumulator over the per-value hashes, with a final
    avalanche. The previous [acc * 31 + h] mix left the low bits of the
-   last value dominating the low bits of the result, so partitioning by
-   [hash mod parts] degenerated on sequential integer keys (every bucket
-   function the parallel kernels use routes through these low bits). *)
+   last value dominating the low bits of the result, so hash-table
+   buckets (taken from those low bits) degenerated on sequential integer
+   keys. *)
 let fnv_prime = 0x100000001b3
 
 let hash t =
@@ -43,8 +43,6 @@ module Tbl = Hashtbl.Make (struct
   let equal = equal
   let hash = hash
 end)
-
-let bucket t parts = hash t land max_int mod parts
 
 let project positions t =
   let n = Array.length positions in

@@ -18,10 +18,6 @@ module Tbl : Hashtbl.S with type key = t
 (** Hash tables keyed by {!hash}/{!equal} — the one table type every
     tuple-keyed structure (joins, indexes, normalization) shares. *)
 
-val bucket : t -> int -> int
-(** [bucket t parts] is a stable partition id in [[0, parts)] derived
-    from {!hash} — hash partitioning for the parallel operators. *)
-
 val project : int array -> t -> t
 (** [project positions tup] picks the values at [positions], in order. *)
 

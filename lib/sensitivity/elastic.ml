@@ -169,25 +169,13 @@ let local_sensitivity ?plans cq db =
   in
   let db = Database.of_list (Cq.instance cq db) in
   let plan = plan_of_cq ?plans cq in
-  (* The memo table is a plain Hashtbl, so it cannot be shared across
-     domains: above one job each relation gets its own memo (re-deriving
-     some mf bounds, which are cheap); at one job the sequential path
-     keeps the shared table. Either way the bounds are exact functions
-     of (plan, attrs), so the results are identical. *)
+  (* One memo for every relation: their sensitivities share most of
+     the mf bounds they multiply. *)
+  let mf = max_frequency_memo ~versions cq db in
   let per_relation =
-    if Exec.jobs () > 1 then
-      Exec.parallel_map_list
-        (fun r ->
-          ( r,
-            relation_sensitivity_with
-              (max_frequency_memo ~versions cq db)
-              cq plan r ))
-        (Cq.relation_names cq)
-    else
-      let mf = max_frequency_memo ~versions cq db in
-      List.map
-        (fun r -> (r, relation_sensitivity_with mf cq plan r))
-        (Cq.relation_names cq)
+    List.map
+      (fun r -> (r, relation_sensitivity_with mf cq plan r))
+      (Cq.relation_names cq)
   in
   let local_sensitivity =
     List.fold_left (fun acc (_, c) -> Count.max acc c) Count.zero per_relation

@@ -52,25 +52,19 @@ let local_sensitivity ?order cq db =
       Array.init (m - 1) (fun i ->
           Schema.inter (schema_of i) (schema_of (i + 1)))
     in
-    (* tops.(i) = ⊤(R_{i+1}) grouped on common.(i-1): incoming paths. *)
-    let tops = Array.make m None in
-    tops.(1) <- Some (Relation.project common.(0) (rel 0));
-    for i = 2 to m - 1 do
-      match tops.(i - 1) with
-      | Some prev ->
-          tops.(i) <-
-            Some (Join.join_project ~group:common.(i - 1) prev (rel (i - 1)))
-      | None -> assert false
+    (* tops.(i) = ⊤(R_{i+2}) grouped on common.(i): the paths into
+       R_{i+2} from the left. *)
+    let tops = Array.make (m - 1) (Relation.project common.(0) (rel 0)) in
+    for i = 1 to m - 2 do
+      tops.(i) <- Join.join_project ~group:common.(i) tops.(i - 1) (rel i)
     done;
-    (* bots.(i) = ⊥(R_{i+1}) grouped on common.(i-1): outgoing paths. *)
-    let bots = Array.make m None in
-    bots.(m - 1) <- Some (Relation.project common.(m - 2) (rel (m - 1)));
-    for i = m - 2 downto 1 do
-      match bots.(i + 1) with
-      | Some next ->
-          bots.(i) <-
-            Some (Join.join_project ~group:common.(i - 1) next (rel i))
-      | None -> assert false
+    (* bots.(i) = ⊥(R_{i+2}) grouped on common.(i): the paths from
+       R_{i+2} rightwards. *)
+    let bots =
+      Array.make (m - 1) (Relation.project common.(m - 2) (rel (m - 1)))
+    in
+    for i = m - 3 downto 0 do
+      bots.(i) <- Join.join_project ~group:common.(i) bots.(i + 1) (rel (i + 1))
     done;
     let heaviest = function
       | None -> Some (Count.one, []) (* endpoints contribute factor 1 *)
@@ -83,8 +77,8 @@ let local_sensitivity ?order cq db =
     in
     let bests_in_path_order =
       List.init m (fun i ->
-          let top = heaviest tops.(i) in
-          let bot = heaviest (if i = m - 1 then None else bots.(i + 1)) in
+          let top = heaviest (if i = 0 then None else Some tops.(i - 1)) in
+          let bot = heaviest (if i = m - 1 then None else Some bots.(i)) in
           let best =
             match (top, bot) with
             | Some (ct, pt), Some (cb, pb) ->

@@ -45,7 +45,7 @@ type analysis = {
 
 (* Analysis identities let downstream layers (truncation profiles) key
    their own memos by "which DP run produced this" without hashing the
-   whole value. Atomic: analyses can be built under Exec.with_jobs. *)
+   whole value. Atomic: analyses may be built on any domain. *)
 let analysis_counter = Atomic.make 0
 let analysis_id a = a.id
 
@@ -79,41 +79,6 @@ let table_entry atom_schema table tuple =
           in
           Count.mul acc (Relation.count_of (Tuple.project positions tuple) part))
         factor parts
-
-(* Heaviest entry: for a factored table the maxima multiply, and the
-   witness row stitches the per-part maxima together — Algorithm 1's
-   "pair the heaviest topjoin entry with the heaviest botjoin entry". *)
-let table_best table =
-  match table with
-  | Dense r -> Relation.max_row r
-  | Factored { schema; parts; factor } -> (
-      if Count.equal factor Count.zero then None
-      else
-        let maxima = List.map Relation.max_row parts in
-        if List.exists Option.is_none maxima then None
-        else
-          let maxima =
-            List.map2
-              (fun part best -> (part, Option.get best))
-              parts maxima
-          in
-          let count =
-            List.fold_left
-              (fun acc (_, (_, c)) -> Count.mul acc c)
-              factor maxima
-          in
-          let value_for attr =
-            let rec find = function
-              | [] -> assert false (* the parts cover the schema *)
-              | (part, (row, _)) :: rest -> (
-                  match Schema.index_opt attr (Relation.schema part) with
-                  | Some i -> Tuple.get row i
-                  | None -> find rest)
-            in
-            find maxima
-          in
-          match Schema.attrs schema with
-          | attrs -> Some (Tuple.of_list (List.map value_for attrs), count))
 
 (* Heaviest first, ties broken by the smallest tuple. *)
 let heavier (t1, c1) (t2, c2) =
@@ -201,24 +166,21 @@ let table_rows_desc ?limit table =
         if List.exists (fun a -> Array.length a = 0) part_rows then Seq.empty
         else begin
           let part_rows = Array.of_list part_rows in
-          let part_schemas =
-            Array.of_list (List.map Relation.schema parts)
-          in
           let k = Array.length part_rows in
+          (* A row is its parts' rows laid side by side, then permuted
+             into the table's column order. The parts cover the table's
+             schema, so every position exists. *)
+          let positions =
+            Schema.positions ~sub:schema
+              (List.fold_left
+                 (fun acc p -> Schema.union acc (Relation.schema p))
+                 Schema.empty parts)
+          in
           let combo indices =
-            let value_for attr =
-              let rec find i =
-                if i >= k then assert false
-                else
-                  match Schema.index_opt attr part_schemas.(i) with
-                  | Some pos ->
-                      Tuple.get (fst part_rows.(i).(indices.(i))) pos
-                  | None -> find (i + 1)
-              in
-              find 0
-            in
             let row =
-              Tuple.of_list (List.map value_for (Schema.attrs schema))
+              Tuple.project positions
+                (Array.concat
+                   (List.init k (fun i -> fst part_rows.(i).(indices.(i)))))
             in
             let count =
               Array.to_list
@@ -261,6 +223,18 @@ let table_rows_desc ?limit table =
           in
           next initial
         end
+
+(* Heaviest entry, ties broken by the smallest tuple: the head of
+   [table_rows_desc], so the witness is always [top_sensitive]'s first
+   row. A dense table's rows are sorted, so its first maximum is the
+   smallest tied tuple. *)
+let table_best table =
+  match table with
+  | Dense r -> Relation.max_row r
+  | Factored _ -> (
+      match table_rows_desc ~limit:1 table () with
+      | Seq.Nil -> None
+      | Seq.Cons (best, _) -> Some best)
 
 let materialize_table table =
   match table with
@@ -353,14 +327,12 @@ let run_component ?(skip = []) ghd db =
       (fun r -> not (List.exists (String.equal r) skip))
       (Cq.relation_names cq)
   in
-  (* Each relation's table depends only on the finished botjoin/topjoin
-     tables and the (persistent) database, so the per-relation work fans
-     out across the pool. The Hashtbls are only read here, which is safe
-     concurrently; result order follows [wanted] regardless of which
-     domain ran which relation. *)
+  (* The tables are built one after another: one dense table usually
+     dominates (Orders' in q3), and a per-relation fan-out measured
+     0.89x at jobs=2 on q3 (bench parallel, 2-core host). *)
   let tables =
     Obs.span "tsens.tables" @@ fun () ->
-    Exec.parallel_map_list
+    List.map
       (fun relation ->
         let v = Ghd.bag_of ghd relation in
         let co_members =
@@ -529,10 +501,8 @@ let analyze_uncached ?selection ~skip ~plans cq db =
       (fun r -> Option.map (fun t -> (r, t)) (List.assoc_opt r tables))
       (Cq.relation_names cq)
   in
-  (* Independent per relation (selection scans can materialize a table
-     each); fan out and keep atom order. *)
   let bests =
-    Exec.parallel_map_list
+    List.map
       (fun (relation, table) ->
         (relation, best_of_table selection db cq relation table))
       tables
@@ -713,6 +683,7 @@ let pp_statistics ppf a =
 
 let top_sensitive a relation n =
   if n < 0 then invalid_arg "Tsens.top_sensitive: negative count";
+  Obs.span "tsens.top_sensitive" @@ fun () ->
   let table = find_table a relation in
   let atom_schema = Cq.schema_of a.query relation in
   let extend row = extrapolate a.db a.query relation (table_schema table) row in

@@ -506,8 +506,9 @@ let prop_fast_equals_reference =
     fast_equals_reference
 
 (* Saturation inside a kernel is reported: a group sum that crosses
-   max_count from finite products, and a product that saturates on
-   emission, both tick count.saturations. *)
+   max_count from finite products or counts — in a join, a projection,
+   a relation's construction or a point insert — and a product that
+   saturates on emission all tick count.saturations. *)
 let test_kernel_saturation_ticks () =
   let saturations f =
     Obs.reset ();
@@ -559,7 +560,21 @@ let test_kernel_saturation_ticks () =
     (ref_join_project ~group:(schema [ "C"; "B" ]) a saturating);
   check "join_project_all"
     (fun () -> Join.join_project_all ~group [ a; finite; a ])
-    (ref_join_project_all ~group [ a; finite; a ])
+    (ref_join_project_all ~group [ a; finite; a ]);
+  check "project" (fun () -> Relation.project group a) (ref_project group a);
+  let saturated =
+    Relation.create ~schema:(schema [ "A" ]) [ (tup [ v 1 ], Count.max_count) ]
+  in
+  check "create"
+    (fun () ->
+      Relation.create ~schema:(schema [ "A" ])
+        [ (tup [ v 1 ], half); (tup [ v 1 ], half) ])
+    saturated;
+  check "add"
+    (fun () ->
+      Relation.add ~count:half (tup [ v 1 ])
+        (Relation.create ~schema:(schema [ "A" ]) [ (tup [ v 1 ], half) ]))
+    saturated
 
 (* ------------------------------------------------------------------ *)
 (* Index *)

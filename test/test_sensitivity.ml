@@ -401,9 +401,8 @@ let shape_catalogue =
       [ ("R1", [ "A"; "B" ]); ("R2", [ "B"; "C" ]); ("R3", [ "X"; "Y" ]) ];
   ]
 
-let instance_gen =
+let instance_of cq =
   QCheck2.Gen.(
-    oneofl shape_catalogue >>= fun cq ->
     let atom_gen atom =
       let arity = Schema.arity atom.Cq.schema in
       list_size (int_range 0 5)
@@ -414,6 +413,8 @@ let instance_gen =
     in
     flatten_l (List.map atom_gen (Cq.atoms cq)) >>= fun rels ->
     return (cq, Database.of_list rels))
+
+let instance_gen = QCheck2.Gen.(oneofl shape_catalogue >>= instance_of)
 
 let print_instance (cq, db) =
   Format.asprintf "%a@.%a" Cq.pp cq Database.pp db
@@ -586,6 +587,8 @@ let random_acyclic_instance_gen =
     flatten_l (List.map atom_gen (Cq.atoms cq)) >>= fun rels ->
     return (cq, Database.of_list rels))
 
+let instance_gen = QCheck2.Gen.(oneofl shape_catalogue >>= instance_of)
+
 let prop_random_trees_acyclic =
   Tgen.qtest ~count:150 "random tree queries are acyclic"
     random_acyclic_instance_gen print_instance (fun (cq, _) ->
@@ -663,13 +666,14 @@ let prop_top_sensitive_matches_table =
       List.for_all (top_sensitive_matches_table a) (Cq.relation_names cq))
 
 (* R's table is factored over parts (A) and (C, B): the second part lists
-   its columns out of the table's (A, B, C) order, and every count ties,
-   so only the tuple order decides the ranking. *)
+   its columns out of the table's (A, B, C) order. *)
+let parts_cq =
+  Cq.make ~name:"parts"
+    [ ("R", [ "A"; "B"; "C" ]); ("S", [ "C"; "B" ]); ("T", [ "A" ]) ]
+
+(* Every count ties, so only the tuple order decides the ranking. *)
 let test_top_sensitive_part_order () =
-  let cq =
-    Cq.make ~name:"parts"
-      [ ("R", [ "A"; "B"; "C" ]); ("S", [ "C"; "B" ]); ("T", [ "A" ]) ]
-  in
+  let cq = parts_cq in
   let rel attrs rows = Relation.of_rows ~schema:(Schema.of_list attrs) rows in
   let db =
     Database.of_list
@@ -688,6 +692,29 @@ let test_top_sensitive_part_order () =
        (fun t -> t.Tsens.table_relation = "R" && t.Tsens.factored)
        tables);
   Alcotest.(check bool) "rows in order" true (top_sensitive_matches_table a "R")
+
+(* Each relation's witness, alone in an analysis that skips the others,
+   is [top_sensitive]'s first row: the heaviest entry, ties broken by
+   the smallest tuple in the table's column order — on factored tables
+   whose parts list their columns out of that order too. *)
+let witness_is_top_row (cq, db) =
+  List.for_all
+    (fun r ->
+      let skip = List.filter (fun o -> not (String.equal o r)) (Cq.relation_names cq) in
+      let a = Tsens.analyze ~skip cq db in
+      match ((Tsens.result a).Sens_types.witness, Tsens.top_sensitive a r 1) with
+      | None, [] -> true
+      | Some w, [ (tuple, count) ] ->
+          String.equal w.Sens_types.relation r
+          && Tuple.equal w.Sens_types.tuple tuple
+          && Count.equal w.Sens_types.sensitivity count
+      | _ -> false)
+    (Cq.relation_names cq)
+
+let prop_witness_is_top_row =
+  Tgen.qtest ~count:200 "witness = head of top_sensitive"
+    QCheck2.Gen.(oneof [ instance_gen; instance_of parts_cq ])
+    print_instance witness_is_top_row
 
 let test_statistics_fig3 () =
   let a = Tsens.analyze fig3_cq fig3_db in
@@ -834,6 +861,7 @@ let () =
           Alcotest.test_case "top sensitive fig3" `Quick
             test_top_sensitive_fig3;
           prop_top_sensitive_matches_table;
+          prop_witness_is_top_row;
           Alcotest.test_case "top sensitive part order" `Quick
             test_top_sensitive_part_order;
           Alcotest.test_case "statistics fig3" `Quick test_statistics_fig3;

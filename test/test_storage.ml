@@ -1,35 +1,23 @@
 (* The storage layer: row/columnar equivalence properties (the columnar
-   kernels must be bit-identical to the row oracle, at every job count
-   and with the cache on), plus units for the dictionary, the columnar
-   boundary, the integer-key tables and the hash-quality regressions
-   that the columnar radix partitioning leans on. *)
+   kernels must be bit-identical to the row oracle, also with the cache
+   on), plus units for the dictionary, the columnar boundary, the
+   integer-key tables and the hash-quality regressions that the hash
+   tables lean on. *)
 
 open Tsens_relational
 open Tsens_query
 open Tsens_sensitivity
-
-let with_cutoff n f =
-  let saved = Exec.sequential_cutoff () in
-  Exec.set_sequential_cutoff n;
-  Fun.protect ~finally:(fun () -> Exec.set_sequential_cutoff saved) f
 
 let with_cache enabled f =
   let saved = Cache.enabled () in
   Cache.set_enabled enabled;
   Fun.protect ~finally:(fun () -> Cache.set_enabled saved) f
 
-(* Columnar [f] equals row-mode [f] at jobs 1, 2 and 4, with the
-   sequential cutoff dropped so tiny QCheck relations still take the
-   partition-parallel kernels. The row reference runs at jobs=1; the
-   exec suite separately pins row-mode determinism across jobs. *)
+(* Columnar [f] equals row-mode [f]. *)
 let columnar_matches_row equal f =
-  with_cutoff 1 @@ fun () ->
-  let reference = Storage.with_mode Storage.Row (fun () -> Exec.with_jobs 1 f) in
-  List.for_all
-    (fun j ->
-      equal reference
-        (Storage.with_mode Storage.Columnar (fun () -> Exec.with_jobs j f)))
-    [ 1; 2; 4 ]
+  equal
+    (Storage.with_mode Storage.Row f)
+    (Storage.with_mode Storage.Columnar f)
 
 (* ------------------------------------------------------------------ *)
 (* Kernel equivalence properties *)
@@ -46,8 +34,7 @@ let prop_join_project_modes =
       columnar_matches_row Relation.equal (fun () ->
           Join.join_project ~group a b))
 
-(* Group key outside the join key: forces the cross-partition group
-   merge in the columnar parallel path. *)
+(* Group key outside the join key: every combined column is grouped. *)
 let prop_join_project_wide_group =
   Tgen.qtest "join_project full-schema group columnar = row"
     Tgen.joinable_pair_gen Tgen.print_relation_pair (fun (a, b) ->
@@ -208,15 +195,15 @@ let prop_index_modes =
 (* ------------------------------------------------------------------ *)
 (* Hash quality regressions *)
 
-(* Sequential keys must spread evenly over any partition count: the *31
+(* Sequential keys must spread evenly over any bucket count: the *31
    accumulator this replaced put consecutive single-attribute tuples in
-   consecutive buckets only when parts divided 31 cleanly, and composite
-   keys skewed badly. Allow max 2x the ideal bucket load. *)
+   consecutive buckets only when the count divided 31 cleanly, and
+   composite keys skewed badly. Allow max 2x the ideal bucket load. *)
 let bucket_skew_ok tuples parts =
   let counts = Array.make parts 0 in
   List.iter
     (fun t ->
-      let b = Tuple.bucket t parts in
+      let b = Tuple.hash t land max_int mod parts in
       counts.(b) <- counts.(b) + 1)
     tuples;
   let n = List.length tuples in
