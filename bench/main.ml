@@ -168,24 +168,6 @@ let cache_cmd =
           Exp_cache.run ~seed ~scale ~repeats ~out)
       $ seed_arg $ scale_arg 0.01 $ repeats $ out)
 
-let join_cmd =
-  let repeats =
-    Arg.(
-      value & opt int 5
-      & info [ "repeats" ] ~docv:"N"
-          ~doc:"Trials per kernel and engine (best kept).")
-  in
-  let out =
-    Arg.(
-      value
-      & opt string "BENCH_join.json"
-      & info [ "out" ] ~docv:"FILE" ~doc:"Output JSON path.")
-  in
-  cmd "join"
-    "Row vs columnar storage sweep of the join kernels; checks the \
-     engines return identical results and writes BENCH_join.json."
-    Term.(const (fun repeats out -> Exp_join.run ~repeats ~out) $ repeats $ out)
-
 let run_all seed scales scale runs epsilon fb_params =
   let fb_params = { fb_params with Facebook.seed } in
   let sweep = Exp_tpch_sweep.run ~seed ~scales in
@@ -226,7 +208,6 @@ let () =
         micro_cmd;
         parallel_cmd;
         cache_cmd;
-        join_cmd;
       ]
   in
   exit (Cmd.eval group)

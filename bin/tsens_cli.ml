@@ -54,26 +54,6 @@ let jobs_arg =
 
 let apply_jobs = function None -> () | Some n -> Exec.set_jobs n
 
-(* --storage overrides the TSENS_STORAGE default; the two engines are
-   bit-identical, columnar is usually faster on join-heavy queries. *)
-let storage_arg =
-  let modes =
-    [ ("row", Storage.Row); ("columnar", Storage.Columnar);
-      ("col", Storage.Columnar) ]
-  in
-  Arg.(
-    value
-    & opt (some (enum modes)) None
-    & info [ "storage" ] ~docv:"ENGINE"
-        ~doc:
-          "Storage engine for the relational kernels: $(b,row) (the \
-           reference implementation) or $(b,columnar) \
-           (dictionary-encoded columns with integer-key joins; same \
-           results, usually faster). Default: the $(b,TSENS_STORAGE) \
-           environment variable, else $(b,row).")
-
-let apply_storage = function None -> () | Some m -> Storage.set_mode m
-
 (* --cache / --no-cache override the TSENS_CACHE default; results are
    bit-identical either way, caching only changes what gets recomputed. *)
 let cache_arg =
@@ -460,11 +440,10 @@ let explain_flag =
     & info [ "explain" ]
         ~doc:"Print intermediate topjoin/botjoin and table sizes.")
 
-let run_sensitivity query data algorithm k tables explain sql jobs storage
-    cache cache_stats stats trace =
+let run_sensitivity query data algorithm k tables explain sql jobs cache
+    cache_stats stats trace =
   handle_errors (fun () ->
       apply_jobs jobs;
-      apply_storage storage;
       apply_cache cache;
       with_cache_stats ~cache_stats @@ fun () ->
       with_observability ~stats ~trace @@ fun () ->
@@ -509,8 +488,8 @@ let sensitivity_cmd =
        ~doc:"Local sensitivity of a counting query over CSV relations.")
     Term.(
       const run_sensitivity $ query_arg $ data_dir_arg $ algorithm_arg $ k_arg
-      $ tables_flag $ explain_flag $ sql_flag $ jobs_arg $ storage_arg
-      $ cache_arg $ cache_stats_flag $ stats_arg $ trace_flag)
+      $ tables_flag $ explain_flag $ sql_flag $ jobs_arg $ cache_arg
+      $ cache_stats_flag $ stats_arg $ trace_flag)
 
 (* ------------------------------------------------------------------ *)
 (* generate *)
@@ -575,11 +554,10 @@ let generate_cmd =
 (* ------------------------------------------------------------------ *)
 (* dp *)
 
-let run_dp query data private_relation epsilon ell seed sql jobs storage cache
+let run_dp query data private_relation epsilon ell seed sql jobs cache
     cache_stats stats trace =
   handle_errors (fun () ->
       apply_jobs jobs;
-      apply_storage storage;
       apply_cache cache;
       with_cache_stats ~cache_stats @@ fun () ->
       with_observability ~stats ~trace @@ fun () ->
@@ -619,8 +597,8 @@ let dp_cmd =
        ~doc:"Release the counting query's answer with TSensDP (epsilon-DP).")
     Term.(
       const run_dp $ query_arg $ data_dir_arg $ private_rel $ epsilon $ ell
-      $ seed_arg $ sql_flag $ jobs_arg $ storage_arg $ cache_arg
-      $ cache_stats_flag $ stats_arg $ trace_flag)
+      $ seed_arg $ sql_flag $ jobs_arg $ cache_arg $ cache_stats_flag
+      $ stats_arg $ trace_flag)
 
 (* ------------------------------------------------------------------ *)
 

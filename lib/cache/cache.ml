@@ -146,28 +146,16 @@ let pp_stats ppf stats_list =
 
 (* Cached index construction. The weight is ~3 words per (tuple, count)
    row plus per-group overhead, in bytes — rough, but enough for
-   eviction pressure to track reality. [Index.approx_words] computes it
-   without decoding a columnar index. *)
+   eviction pressure to track reality. *)
 
 let index_weight idx = Index.approx_words idx * 8
 
 let index_store : Index.t Store.t =
   Store.create ~name:"relational.index" ~capacity:128 ~weight:index_weight ()
 
-(* The key carries the storage mode (a row-built and a columnar-built
-   index answer identically, but tests and benchmarks that flip the mode
-   mid-process must not observe the other mode's artifact) and the
-   dictionary generation (a columnar index decodes through the
-   dictionary; a [Dict.reset] makes it undecodable, so its entries must
-   miss from then on). *)
 let index ~key rel =
   let k =
     Key.of_parts
-      [
-        string_of_int (Relation.version rel);
-        Schema.to_string key;
-        Storage.to_string (Storage.mode ());
-        string_of_int (Dict.generation ());
-      ]
+      [ string_of_int (Relation.version rel); Schema.to_string key ]
   in
   Store.find_or_add index_store k (fun () -> Index.build ~key rel)

@@ -42,13 +42,13 @@ let profile analysis relation =
   let running = ref Count.zero in
   Array.iteri
     (fun i (d, cnt) ->
-      running := Count.add !running (Count.mul cnt d);
+      running := Count.add_tracked !running (Count.mul_tracked cnt d);
       cumulative.(i) <- !running)
     entries;
   let dropped_mass = Array.make n Count.zero in
   let mass = ref Count.zero in
   for i = n - 1 downto 0 do
-    mass := Count.add !mass (snd entries.(i));
+    mass := Count.add_tracked !mass (snd entries.(i));
     dropped_mass.(i) <- !mass
   done;
   { deltas; cumulative; dropped_mass }

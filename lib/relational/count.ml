@@ -23,6 +23,15 @@ let mul a b =
   else if a > max_count / b then max_count
   else a * b
 
+(* Same transition rule as [add_tracked]. *)
+let mul_tracked a b =
+  let product = mul a b in
+  if
+    is_saturated product && Obs.enabled ()
+    && not (is_saturated a || is_saturated b)
+  then Obs.tick c_sat;
+  product
+
 let pow c k =
   if k < 0 then invalid_arg "Count.pow: negative exponent";
   let rec loop acc k = if k = 0 then acc else loop (mul acc c) (k - 1) in

@@ -31,6 +31,12 @@ val add_tracked : t -> t -> t
 val mul : t -> t -> t
 (** Saturating multiplication. *)
 
+val mul_tracked : t -> t -> t
+(** [mul], for products outside the join kernels (scaled relations,
+    truncation profiles, per-component query sizes): when two finite
+    operands multiply past {!max_count}, ticks [count.saturations], the
+    same transition rule as {!add_tracked}. *)
+
 val pow : t -> int -> t
 (** [pow c k] is [c] multiplied by itself [k] times (saturating);
     [pow c 0 = one]. Raises [Invalid_argument] if [k < 0]. *)

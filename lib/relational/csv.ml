@@ -54,60 +54,66 @@ let chomp line =
 
 let split_line line = String.split_on_char ',' (chomp line)
 
+(* Every error names the 1-based line it was found on; the header is
+   line 1. *)
 let input ?schema ic =
+  let line_no = ref 0 in
+  let fail fmt = Errors.data_errorf ("line %d: " ^^ fmt) !line_no in
+  let next_line () =
+    let line = input_line ic in
+    incr line_no;
+    line
+  in
   let header =
-    try input_line ic
-    with End_of_file -> Errors.data_errorf "CSV input is empty"
+    try next_line ()
+    with End_of_file ->
+      line_no := 1;
+      fail "CSV input is empty"
   in
-  let columns = split_line header in
   let attrs =
-    match List.rev columns with
+    match List.rev (split_line header) with
     | "cnt" :: rest -> List.rev rest
-    | _ -> Errors.data_errorf "CSV header %S lacks a trailing cnt column" header
+    | _ -> fail "CSV header %S lacks a trailing cnt column" header
   in
-  let file_schema = Schema.of_list attrs in
+  let file_schema =
+    try Schema.of_list attrs
+    with Errors.Schema_error msg -> fail "CSV header: %s" msg
+  in
   let schema =
     match schema with
     | None -> file_schema
     | Some s ->
         if not (Schema.equal s file_schema) then
-          Errors.data_errorf "CSV header %a does not match expected schema %a"
-            Schema.pp file_schema Schema.pp s;
+          fail "CSV header %a does not match expected schema %a" Schema.pp
+            file_schema Schema.pp s;
         s
   in
   let arity = Schema.arity schema in
   let rows = ref [] in
   (try
      while true do
-       let line = input_line ic in
+       let line = next_line () in
        if String.trim line <> "" then begin
          let fields = split_line line in
          let values, cnt_field =
            match List.rev fields with
            | c :: rest when List.length fields = arity + 1 -> (List.rev rest, c)
            | _ ->
-               Errors.data_errorf "CSV row %S has %d fields, expected %d" line
+               fail "CSV row %S has %d fields, expected %d" line
                  (List.length fields) (arity + 1)
          in
          let cnt =
            match int_of_string_opt cnt_field with
            | Some c when c > 0 -> c
            | Some _ | None ->
-               Errors.data_errorf "CSV row %S has invalid count %S" line
-                 cnt_field
+               fail "CSV row %S has invalid count %S" line cnt_field
          in
          let tup = Tuple.of_list (List.map Value.of_string values) in
          rows := (tup, cnt) :: !rows
        end
      done
    with End_of_file -> ());
-  let rel = Relation.create ~schema (List.rev !rows) in
-  (* Under columnar storage, encode at load time: import is the natural
-     dictionary-warming point, and the first join against this relation
-     then starts probing immediately instead of paying the intern pass.
-     [Relation.encoded] memoizes, so this is free if never used. *)
-  if Storage.is_columnar () then ignore (Relation.encoded rel : Colrel.t);
-  rel
+  Relation.create ~schema (List.rev !rows)
 
 let read_file ?schema path =
   let ic = open_in path in

@@ -17,6 +17,10 @@ val write_file : string -> Relation.t -> unit
 val input : ?schema:Schema.t -> in_channel -> Relation.t
 (** Reads a relation. When [schema] is given it must match the header's
     attribute names; otherwise the header defines the schema. Raises
-    {!Errors.Data_error} on malformed input. *)
+    {!Errors.Data_error} on malformed input — an empty input, a header
+    without a trailing [cnt] column or with a repeated attribute, a
+    header mismatch, a row with the wrong number of fields or an invalid
+    count — and its message starts with ["line N: "], the 1-based line
+    number (the header is line 1). *)
 
 val read_file : ?schema:Schema.t -> string -> Relation.t

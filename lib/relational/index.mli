@@ -27,5 +27,4 @@ val max_group_count : t -> Count.t
 val iter_groups : (Tuple.t -> (Tuple.t * Count.t) array -> unit) -> t -> unit
 
 val approx_words : t -> int
-(** Rough retained size in words, for cache weighting. Never decodes a
-    columnar index. *)
+(** Rough retained size in words, for cache weighting. *)

@@ -61,14 +61,9 @@ let probe plan a b emit =
 
 module H = Tuple.Tbl
 
-(* Each binary operator dispatches on the storage mode up front: the
-   columnar kernels (Coljoin) run the same logical plan on dictionary
-   ids and are bit-identical to the row implementations below, which
-   stay as the always-available oracle (and the default). *)
-
 (* A natural join's rows are distinct without grouping: the combined
    tuple determines both the left row and the right one. *)
-let natural_join_rows a b =
+let natural_join a b =
   Obs.span "join.stream" @@ fun () ->
   let plan = make_plan (Relation.schema a) (Relation.schema b) in
   let acc = ref [] in
@@ -76,11 +71,6 @@ let natural_join_rows a b =
     (instrument_emit (fun ltup rtup cnt ->
          acc := (combine plan ltup rtup, cnt) :: !acc));
   Relation.of_grouped plan.combined (Array.of_list !acc)
-
-let natural_join a b =
-  if Storage.is_columnar () then
-    Obs.span "join.columnar" @@ fun () -> Coljoin.natural_join a b
-  else natural_join_rows a b
 
 (* Where each group attribute is read from a matching pair: [s >= 0] is
    position [s] of the left tuple, [s < 0] position [-s - 1] of the right
@@ -126,23 +116,18 @@ let grouped_rows table =
     table;
   rows
 
-let join_project_rows ~group a b =
+let join_project ~group a b =
+  Obs.span "join.project" @@ fun () ->
   let plan = make_plan (Relation.schema a) (Relation.schema b) in
+  if not (Schema.subset group plan.combined) then
+    Errors.schema_errorf "join_project: %a not a subset of joined schema %a"
+      Schema.pp group Schema.pp plan.combined;
   let src = key_sources group a b in
   let table = H.create 1024 in
   probe plan a b
     (instrument_emit (fun ltup rtup cnt ->
          accumulate table (group_key src ltup rtup) cnt));
   Relation.of_grouped group (grouped_rows table)
-
-let join_project ~group a b =
-  Obs.span "join.project" @@ fun () ->
-  let combined = Schema.union (Relation.schema a) (Relation.schema b) in
-  if not (Schema.subset group combined) then
-    Errors.schema_errorf "join_project: %a not a subset of joined schema %a"
-      Schema.pp group Schema.pp combined;
-  if Storage.is_columnar () then Coljoin.join_project ~group a b
-  else join_project_rows ~group a b
 
 let join_all = function
   | [] -> invalid_arg "Join.join_all: empty list"
@@ -281,16 +266,13 @@ let semijoin a b =
 
 let count_join a b =
   Obs.span "join.count" @@ fun () ->
-  if Storage.is_columnar () then Coljoin.count_join a b
-  else begin
-    let total = ref Count.zero in
-    let plan = make_plan (Relation.schema a) (Relation.schema b) in
-    let idx = build_right_index plan b in
-    Relation.iter
-      (fun ltup lcnt ->
-        let key = Tuple.project plan.common_left ltup in
-        let group = Index.group_count idx key in
-        total := Count.add_tracked !total (Count.mul lcnt group))
-      a;
-    !total
-  end
+  let total = ref Count.zero in
+  let plan = make_plan (Relation.schema a) (Relation.schema b) in
+  let idx = build_right_index plan b in
+  Relation.iter
+    (fun ltup lcnt ->
+      let key = Tuple.project plan.common_left ltup in
+      let group = Index.group_count idx key in
+      total := Count.add_tracked !total (Count.mul lcnt group))
+    a;
+  !total

@@ -2,13 +2,6 @@ type t = {
   schema : Schema.t;
   rows : (Tuple.t * Count.t) array;
   version : int;
-  enc : Colrel.t option Atomic.t;
-      (* Memoized columnar encoding, filled on first use under
-         TSENS_STORAGE=columnar. Per-value, not shared across derived
-         relations (rename/scale/filter change what the encoding would
-         be), so every constructor mints a fresh cell. Atomic because
-         fan-out items may encode one relation on two domains; the race
-         is benign — both encodings are correct, one wins. *)
 }
 
 (* Version stamps are allocated from one process-wide counter so that no
@@ -21,38 +14,7 @@ let version_counter = Atomic.make 0
 let next_version () = Atomic.fetch_and_add version_counter 1
 let version r = r.version
 
-let mk schema rows =
-  { schema; rows; version = next_version (); enc = Atomic.make None }
-
-(* ------------------------------------------------------------------ *)
-(* The columnar boundary. [encoded] is the encode direction (memoized on
-   the relation, rebuilt if the dictionary generation moved);
-   [of_encoded] is the decode direction for kernel outputs, which are
-   distinct but unsorted — sorting by [Tuple.compare] is the only
-   canonicalization they still need, and the sorted permutation is
-   applied to the columns too so the result is born encoded (a chain of
-   columnar joins never re-interns). *)
-
-let encoded r =
-  match Atomic.get r.enc with
-  | Some c when Colrel.generation c = Dict.generation () -> c
-  | Some _ | None ->
-      let c = Colrel.of_pairs r.schema r.rows in
-      Atomic.set r.enc (Some c);
-      c
-
-let of_encoded c =
-  let pairs = Colrel.decode_rows c in
-  let order = Array.init (Array.length pairs) Fun.id in
-  Array.sort
-    (fun i j -> Tuple.compare (fst pairs.(i)) (fst pairs.(j)))
-    order;
-  {
-    schema = Colrel.schema c;
-    rows = Array.map (fun i -> pairs.(i)) order;
-    version = next_version ();
-    enc = Atomic.make (Some (Colrel.permute c order));
-  }
+let mk schema rows = { schema; rows; version = next_version () }
 
 module T = Tuple.Tbl
 
@@ -73,31 +35,21 @@ let of_grouped schema rows =
 
 (* Group an array of (tuple, count) pairs: sum multiplicities per
    distinct tuple and drop non-positive totals. One hash per pair: each
-   distinct tuple owns a mutable cell.
-
-   The columnar path encodes once and groups in the integer domain —
-   same spec (sum per distinct tuple, drop non-positive, sort), so the
-   output is bit-identical to the row path; saturating addition is
-   order-free, so the two paths' different accumulation orders cannot
-   diverge even at the saturation point. *)
+   distinct tuple owns a mutable cell. *)
 let grouped schema pairs =
-  if Storage.is_columnar () then
-    of_encoded (Colrel.group_self (Colrel.of_pairs schema pairs))
-  else begin
-    let table = T.create (max 16 (Array.length pairs)) in
-    Array.iter
-      (fun (tup, cnt) ->
-        match T.find_opt table tup with
-        | Some cell -> cell := Count.add_tracked !cell cnt
-        | None -> T.add table tup (ref cnt))
-      pairs;
-    let rows =
-      T.fold
-        (fun tup cnt acc -> if !cnt > 0 then (tup, !cnt) :: acc else acc)
-        table []
-    in
-    of_grouped schema (Array.of_list rows)
-  end
+  let table = T.create (max 16 (Array.length pairs)) in
+  Array.iter
+    (fun (tup, cnt) ->
+      match T.find_opt table tup with
+      | Some cell -> cell := Count.add_tracked !cell cnt
+      | None -> T.add table tup (ref cnt))
+    pairs;
+  let rows =
+    T.fold
+      (fun tup cnt acc -> if !cnt > 0 then (tup, !cnt) :: acc else acc)
+      table []
+  in
+  of_grouped schema (Array.of_list rows)
 
 (* Merge duplicate tuples, drop zero counts, sort: the canonical form
    for rows from outside the library. *)
@@ -174,13 +126,10 @@ let project target r =
     if Schema.arity target = Schema.arity r.schema then permute target r
     else
       let positions = Schema.positions ~sub:target r.schema in
-      if Storage.is_columnar () then
-        (* Column selection is array indexing and the group-by runs on
-           ids: no per-row tuple is ever built. *)
-        of_encoded (Colrel.group_by ~schema:target positions (encoded r))
-      else
-        grouped target
-          (Array.map (fun (tup, cnt) -> (Tuple.project positions tup, cnt)) r.rows)
+      grouped target
+        (Array.map
+           (fun (tup, cnt) -> (Tuple.project positions tup, cnt))
+           r.rows)
 
 let filter pred r =
   let rows =
@@ -192,7 +141,8 @@ let rename mapping r = mk (Schema.rename mapping r.schema) r.rows
 
 let scale factor r =
   if factor <= 0 then Errors.data_errorf "scale: non-positive factor %d" factor;
-  mk r.schema (Array.map (fun (t, c) -> (t, Count.mul c factor)) r.rows)
+  mk r.schema
+    (Array.map (fun (t, c) -> (t, Count.mul_tracked c factor)) r.rows)
 
 (* Point updates edit the sorted rows at the slot the binary search
    finds: no hashing and no sort. *)

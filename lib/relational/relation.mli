@@ -111,26 +111,6 @@ val max_frequency : over:Schema.t -> t -> Count.t
 val active_domain : Attr.t -> t -> Value.t list
 (** Distinct values of one attribute, sorted. *)
 
-(** {1 Columnar boundary (storage layer)}
-
-    The handshake between row relations and the dictionary-encoded
-    columnar kernels ({!Colrel}, {!Coljoin}) dispatched under
-    [TSENS_STORAGE=columnar]. Operators call these; most library users
-    never need to. *)
-
-val encoded : t -> Colrel.t
-(** The columnar encoding of the relation, computed on first use and
-    memoized on the value (rebuilt if {!Dict.generation} has moved).
-    Rows of the encoding are in the relation's sorted row order. *)
-
-val of_encoded : Colrel.t -> t
-(** Materialize a kernel output. The input rows must be distinct
-    (which {!Colrel}'s constructors guarantee); sorting by
-    {!Tuple.compare} is the only canonicalization applied, so the result
-    is bit-identical to funneling the decoded rows through {!create}.
-    The result carries the (sorted) encoding, so columnar operator
-    chains never re-intern. *)
-
 (** {1 Comparison and printing} *)
 
 val equal : t -> t -> bool

@@ -394,20 +394,36 @@ let run_component ?(skip = []) ghd db =
 
 (* ------------------------------------------------------------------ *)
 (* Witness extrapolation for attributes outside the multiplicity table:
-   lonely attributes take any value (paper Section 5.4). *)
+   lonely attributes take any value (paper Section 5.4) — the smallest
+   one in the base relation, so witnesses are deterministic. [extender]
+   finds each filler once, in one pass over the base relation, and
+   returns the function that extends one table row. *)
 
-let extrapolate db cq relation row_schema row =
-  let atom_schema = Cq.schema_of cq relation in
+let extender db cq relation row_schema =
   let base = Database.find relation db in
-  let value_for attr =
-    match Schema.index_opt attr row_schema with
-    | Some i -> Tuple.get row i
-    | None -> (
-        match Relation.active_domain attr base with
-        | v :: _ -> v
-        | [] -> Value.str "any")
+  let smallest attr =
+    let pos = Schema.index attr (Relation.schema base) in
+    Relation.fold
+      (fun tup _ best ->
+        let x = Tuple.get tup pos in
+        match best with
+        | Some b when Value.compare b x <= 0 -> best
+        | _ -> Some x)
+      base None
+    |> Option.value ~default:(Value.str "any")
   in
-  Tuple.of_list (List.map value_for (Schema.attrs atom_schema))
+  let sources =
+    Schema.attrs (Cq.schema_of cq relation)
+    |> List.map (fun attr ->
+           match Schema.index_opt attr row_schema with
+           | Some i -> Either.Left i
+           | None -> Either.Right (smallest attr))
+    |> Array.of_list
+  in
+  fun row ->
+    Array.map
+      (function Either.Left i -> Tuple.get row i | Either.Right v -> v)
+      sources
 
 (* Best admissible entry of a multiplicity table: the heaviest one whose
    extended tuple passes the selection (rows that fail have true
@@ -420,27 +436,24 @@ let best_of_table selection db cq relation table =
   | None ->
       Option.map
         (fun (row, count) ->
-          (extrapolate db cq relation (table_schema table) row,
-           atom_schema, count))
+          ( extender db cq relation (table_schema table) row,
+            atom_schema,
+            count ))
         (table_best table)
   | Some pred ->
       let materialized = materialize_table table in
+      let extend = extender db cq relation (Relation.schema materialized) in
       let rows = Array.copy (Relation.rows materialized) in
       Array.sort
         (fun (t1, c1) (t2, c2) ->
           match Count.compare c2 c1 with 0 -> Tuple.compare t1 t2 | c -> c)
         rows;
-      let admissible (row, _) =
-        let full =
-          extrapolate db cq relation (Relation.schema materialized) row
-        in
-        pred relation atom_schema full
-      in
-      Option.map
-        (fun (row, count) ->
-          ( extrapolate db cq relation (Relation.schema materialized) row,
-            atom_schema, count ))
-        (Array.find_opt admissible rows)
+      Array.to_seq rows
+      |> Seq.find_map (fun (row, count) ->
+             let full = extend row in
+             if pred relation atom_schema full then
+               Some (full, atom_schema, count)
+             else None)
 
 (* ------------------------------------------------------------------ *)
 
@@ -686,7 +699,7 @@ let top_sensitive a relation n =
   Obs.span "tsens.top_sensitive" @@ fun () ->
   let table = find_table a relation in
   let atom_schema = Cq.schema_of a.query relation in
-  let extend row = extrapolate a.db a.query relation (table_schema table) row in
+  let extend = extender a.db a.query relation (table_schema table) in
   let admissible full =
     match a.selection with
     | None -> true
@@ -705,4 +718,4 @@ let instance_relation a relation = Database.find relation a.db
 
 let witness_tuple a relation row =
   let table = find_table a relation in
-  extrapolate a.db a.query relation (table_schema table) row
+  extender a.db a.query relation (table_schema table) row

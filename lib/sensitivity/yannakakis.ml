@@ -67,7 +67,7 @@ let count ?(plans = []) cq db =
           | Some g -> g
           | None -> plan_of_component component
         in
-        Count.mul acc (count_ghd plan db))
+        Count.mul_tracked acc (count_ghd plan db))
       Count.one (Cq.components cq)
   in
   if not (Cache.enabled ()) then compute ()

@@ -95,6 +95,57 @@ let test_value_accessors () =
     "as_bool" (Some true)
     (Value.as_bool (Value.bool true))
 
+(* Hash quality: the tuple-keyed tables of every kernel lean on these. *)
+
+(* Sequential keys must spread evenly over any bucket count: the *31
+   accumulator this replaced put consecutive single-attribute tuples in
+   consecutive buckets only when the count divided 31 cleanly, and
+   composite keys skewed badly. Allow max 2x the ideal bucket load. *)
+let bucket_skew_ok tuples parts =
+  let counts = Array.make parts 0 in
+  List.iter
+    (fun t ->
+      let b = Tuple.hash t land max_int mod parts in
+      counts.(b) <- counts.(b) + 1)
+    tuples;
+  let n = List.length tuples in
+  let mean = float_of_int n /. float_of_int parts in
+  Array.for_all (fun c -> float_of_int c <= (2.0 *. mean) +. 1.0) counts
+
+let test_tuple_bucket_skew () =
+  let n = 4096 in
+  let singles = List.init n (fun i -> tup [ v i ]) in
+  let pairs_seq = List.init n (fun i -> tup [ v i; v (i + 1) ]) in
+  let pairs_const = List.init n (fun i -> tup [ v 7; v i ]) in
+  List.iter
+    (fun parts ->
+      Alcotest.(check bool)
+        (Printf.sprintf "singles spread over %d parts" parts)
+        true
+        (bucket_skew_ok singles parts);
+      Alcotest.(check bool)
+        (Printf.sprintf "sequential pairs spread over %d parts" parts)
+        true
+        (bucket_skew_ok pairs_seq parts);
+      Alcotest.(check bool)
+        (Printf.sprintf "constant-prefix pairs spread over %d parts" parts)
+        true
+        (bucket_skew_ok pairs_const parts))
+    [ 2; 3; 4; 7; 8; 16 ]
+
+let test_value_hash_constructors () =
+  Alcotest.(check bool)
+    "equal values hash equal" true
+    (Value.hash (v 42) = Value.hash (v 42));
+  (* Not guaranteed for arbitrary hashes, but deterministic here: the
+     constructor tags must keep these common collision shapes apart. *)
+  Alcotest.(check bool)
+    "Int 1 vs Str \"1\"" true
+    (Value.hash (v 1) <> Value.hash (s "1"));
+  Alcotest.(check bool)
+    "Int 0 vs Bool false" true
+    (Value.hash (v 0) <> Value.hash (Value.bool false))
+
 (* ------------------------------------------------------------------ *)
 (* Schema *)
 
@@ -471,9 +522,49 @@ let ref_join_project_all ~group = function
         first rest
       |> ref_project group
 
-let fast_equals_reference ((a, b), extra) =
+let ref_natural_join a b =
+  ref_join_project
+    ~group:(Schema.union (Relation.schema a) (Relation.schema b))
+    a b
+
+(* The rows of [a] whose common attributes match some row of [b]. *)
+let ref_semijoin a b =
+  let common =
+    Schema.attrs (Schema.inter (Relation.schema a) (Relation.schema b))
+  in
+  Relation.create ~schema:(Relation.schema a)
+    (Array.to_list (Relation.rows a)
+    |> List.filter (fun (ta, _) ->
+           Array.exists
+             (fun (tb, _) ->
+               List.for_all
+                 (fun x -> Value.equal (ref_value a ta x) (ref_value b tb x))
+                 common)
+             (Relation.rows b)))
+
+(* The rows of [r] whose [key] attributes read [k], sorted. *)
+let ref_lookup key r k =
+  Array.to_list (Relation.rows r)
+  |> List.filter (fun (t, _) ->
+         List.for_all2
+           (fun x kx -> Value.equal (ref_value r t x) kx)
+           (Schema.attrs key) (Array.to_list k))
+  |> List.sort compare
+
+let ref_group_count key r k =
+  List.fold_left (fun acc (_, c) -> Count.add acc c) Count.zero
+    (ref_lookup key r k)
+
+let ref_key key r t =
+  Tuple.of_list (List.map (ref_value r t) (Schema.attrs key))
+
+(* Every check runs on the pair as drawn and with each side emptied. *)
+let on_emptied_sides check (a, b) =
   let empty r = Relation.empty (Relation.schema r) in
-  List.for_all
+  List.for_all check [ (a, b); (empty a, b); (a, empty b) ]
+
+let fast_equals_reference ((a, b), extra) =
+  on_emptied_sides
     (fun (a, b) ->
       List.for_all
         (fun group ->
@@ -490,25 +581,91 @@ let fast_equals_reference ((a, b), extra) =
            (fun target ->
              Relation.equal (Relation.project target a) (ref_project target a))
            (Tgen.target_variants a))
-    [ (a, b); (empty a, b); (a, empty b) ]
+    (a, b)
 
-let prop_fast_equals_reference =
-  Tgen.qtest ~count:300 "join_project, join_project_all, project = reference"
+let joins_equal_reference ((a, b), _) =
+  on_emptied_sides
+    (fun (a, b) ->
+      let reference = ref_natural_join a b in
+      Relation.equal (Join.natural_join a b) reference
+      && Relation.equal (Join.merge_join a b) reference
+      && Count.equal (Join.count_join a b) (Relation.cardinality reference)
+      && Relation.equal (Join.semijoin a b) (ref_semijoin a b))
+    (a, b)
+
+(* Index [b] on keys read from one side, both sides, a random subset and
+   no attribute at all; probe with every key of both relations and one
+   key no row holds. *)
+let index_equals_reference ((a, b), extra) =
+  on_emptied_sides
+    (fun (a, b) ->
+      let sb = Relation.schema b in
+      let keys =
+        [
+          Schema.inter (Relation.schema a) sb;
+          sb;
+          Schema.of_list (List.rev (Schema.attrs sb));
+          Schema.inter extra sb;
+          Schema.empty;
+        ]
+      in
+      List.for_all
+        (fun key ->
+          let idx = Index.build ~key b in
+          let keys_of r =
+            if Schema.subset key (Relation.schema r) then
+              Array.to_list (Relation.rows r)
+              |> List.map (fun (t, _) -> ref_key key r t)
+            else []
+          in
+          let missing =
+            Tuple.of_list (List.map (fun _ -> v 99) (Schema.attrs key))
+          in
+          List.for_all
+            (fun k ->
+              List.sort compare (Array.to_list (Index.lookup idx k))
+              = ref_lookup key b k
+              && Count.equal (Index.group_count idx k) (ref_group_count key b k))
+            ((missing :: keys_of a) @ keys_of b)
+          && Count.equal (Index.max_group_count idx)
+               (List.fold_left
+                  (fun acc k -> Count.max acc (ref_group_count key b k))
+                  Count.zero (keys_of b)))
+        keys)
+    (a, b)
+
+(* Ordinary and saturating pairs, with a random subset of the joined
+   schema in random order. *)
+let reference_qtest name check =
+  Tgen.qtest ~count:300 name
     QCheck2.Gen.(
       oneof [ Tgen.joinable_pair_gen; Tgen.saturating_pair_gen ]
       >>= fun (a, b) ->
       Tgen.sub_schema_gen
         (Schema.union (Relation.schema a) (Relation.schema b))
-      >>= fun group -> return ((a, b), group))
-    (fun (pair, group) ->
-      Format.asprintf "%s@.group %a" (Tgen.print_relation_pair pair) Schema.pp
-        group)
+      >>= fun extra -> return ((a, b), extra))
+    (fun (pair, extra) ->
+      Format.asprintf "%s@.extra schema %a" (Tgen.print_relation_pair pair)
+        Schema.pp extra)
+    check
+
+let prop_fast_equals_reference =
+  reference_qtest "join_project, join_project_all, project = reference"
     fast_equals_reference
+
+let prop_joins_equal_reference =
+  reference_qtest "binary joins = nested-loop reference"
+    joins_equal_reference
+
+let prop_index_equals_reference =
+  reference_qtest "probes = nested-loop reference"
+    index_equals_reference
 
 (* Saturation inside a kernel is reported: a group sum that crosses
    max_count from finite products or counts — in a join, a projection,
-   a relation's construction or a point insert — and a product that
-   saturates on emission all tick count.saturations. *)
+   a relation's construction or a point insert — a product that
+   saturates on emission, a scaled relation, a truncation profile and a
+   product of component sizes all tick count.saturations. *)
 let test_kernel_saturation_ticks () =
   let saturations f =
     Obs.reset ();
@@ -574,7 +731,53 @@ let test_kernel_saturation_ticks () =
     (fun () ->
       Relation.add ~count:half (tup [ v 1 ])
         (Relation.create ~schema:(schema [ "A" ]) [ (tup [ v 1 ], half) ]))
-    saturated
+    saturated;
+  check "scale"
+    (fun () ->
+      Relation.scale half
+        (Relation.create ~schema:(schema [ "A" ]) [ (tup [ v 1 ], 2) ]))
+    saturated;
+  (* Products and sums over whole query answers: a truncation profile's
+     running sum of cnt·δ and the product of per-component sizes. *)
+  let check_count name f =
+    let result, ticks = saturations f in
+    Alcotest.(check bool)
+      (name ^ " saturates") true (Count.is_saturated result);
+    Alcotest.(check bool) (name ^ " ticks count.saturations") true (ticks > 0)
+  in
+  let open Tsens_query in
+  let open Tsens_sensitivity in
+  let profile_answer r_rows =
+    let cq = Cq.make [ ("R", [ "A" ]); ("S", [ "A" ]) ] in
+    let db =
+      Database.of_list
+        [
+          ("R", Relation.create ~schema:(schema [ "A" ]) r_rows);
+          ( "S",
+            Relation.create ~schema:(schema [ "A" ])
+              [ (tup [ v 1 ], half); (tup [ v 2 ], half) ] );
+        ]
+    in
+    let analysis = Tsens.analyze cq db in
+    fun () ->
+      Tsens_dp.Truncation.truncated_answer
+        (Tsens_dp.Truncation.profile analysis "R")
+        Count.max_count
+  in
+  (* One tuple of count 2 and sensitivity [half]: cnt·δ saturates. *)
+  check_count "profile product" (profile_answer [ (tup [ v 1 ], 2) ]);
+  (* Two tuples whose finite cnt·δ terms sum past max_count. *)
+  check_count "profile running sum"
+    (profile_answer [ (tup [ v 1 ], 1); (tup [ v 2 ], 1) ]);
+  let cq = Cq.make [ ("R", [ "A" ]); ("S", [ "B" ]) ] in
+  let db =
+    Database.of_list
+      [
+        ("R", Relation.create ~schema:(schema [ "A" ]) [ (tup [ v 1 ], half) ]);
+        ("S", Relation.create ~schema:(schema [ "B" ]) [ (tup [ v 1 ], 2) ]);
+      ]
+  in
+  check_count "yannakakis component product" (fun () -> Yannakakis.count cq db)
 
 (* ------------------------------------------------------------------ *)
 (* Index *)
@@ -685,7 +888,7 @@ let test_csv_rejects_garbage () =
       close_out oc;
       Alcotest.check_raises "invalid count"
         (Errors.Data_error
-           "CSV row \"1,notanumber\" has invalid count \"notanumber\"")
+           "line 2: CSV row \"1,notanumber\" has invalid count \"notanumber\"")
         (fun () -> ignore (Csv.read_file path)))
 
 let with_temp_csv f =
@@ -760,7 +963,7 @@ let test_csv_zero_count_rejected () =
   with_temp_csv (fun path ->
       write_text path "A,cnt\n1,0\n";
       Alcotest.check_raises "reader rejects zero"
-        (Errors.Data_error "CSV row \"1,0\" has invalid count \"0\"")
+        (Errors.Data_error "line 2: CSV row \"1,0\" has invalid count \"0\"")
         (fun () -> ignore (Csv.read_file path)));
   Alcotest.(check bool) "check_row rejects zero" true
     (match Relation.create ~schema:(schema [ "A" ]) [ (tup [ v 1 ], 0) ] with
@@ -795,6 +998,61 @@ let prop_csv_round_trip_or_rejects =
           match Csv.write_file path r with
           | exception Errors.Data_error _ -> true
           | () -> Relation.equal r (Csv.read_file path)))
+
+(* The 1-based line of a [Csv.input] error, read from its message. *)
+let csv_error_line msg =
+  try Scanf.sscanf msg "line %d: %_s" Option.some with
+  | Scanf.Scan_failure _ | Failure _ | End_of_file -> None
+
+let test_csv_positioned_errors () =
+  List.iter
+    (fun (name, expected, text, line) ->
+      with_temp_csv (fun path ->
+          write_text path text;
+          match Csv.read_file ?schema:expected path with
+          | _ -> Alcotest.failf "%s: accepted" name
+          | exception Errors.Data_error msg ->
+              Alcotest.(check (option int)) (name ^ ": " ^ msg) (Some line)
+                (csv_error_line msg)))
+    [
+      ("empty input", None, "", 1);
+      ("missing cnt column", None, "A,B\n1,2\n", 1);
+      ("duplicate attribute", None, "A,A,cnt\n1,1,1\n", 1);
+      ("header mismatch", Some (schema [ "X" ]), "A,cnt\n1,1\n", 1);
+      ("field count", None, "A,cnt\n1,1\n\n1,2,3\n", 4);
+      ("invalid count", None, "A,B,cnt\r\n1,2,3\r\n4,5,x\r\n", 3);
+    ]
+
+(* Lines drawn from a small alphabet (separators, digits, letters,
+   blanks, '\r' and the cnt keyword) hit every error path. Import
+   either returns a relation or raises Data_error naming a line of the
+   input; any other exception fails. *)
+let csv_text_gen =
+  QCheck2.Gen.(
+    let token =
+      oneofl
+        [ ","; ","; "0"; "1"; "2"; "7"; "a"; "B"; "x"; " "; "\t"; "\r"; "cnt" ]
+    in
+    let line = map (String.concat "") (list_size (int_range 0 6) token) in
+    let header =
+      oneof [ line; oneofl [ "A,cnt"; "A,B,cnt"; "cnt"; "A,A,cnt"; "A,cnt\r" ] ]
+    in
+    header >>= fun h ->
+    list_size (int_range 0 5) line >>= fun rows ->
+    return (String.concat "\n" (h :: rows)))
+
+let prop_csv_fuzz =
+  Tgen.qtest ~count:500 "fuzzed input: relation or line error"
+    csv_text_gen (Printf.sprintf "%S") (fun text ->
+      with_temp_csv (fun path ->
+          write_text path text;
+          let lines = List.length (String.split_on_char '\n' text) in
+          match Csv.read_file path with
+          | _ -> true
+          | exception Errors.Data_error msg -> (
+              match csv_error_line msg with
+              | Some n -> 1 <= n && n <= lines
+              | None -> false)))
 
 (* ------------------------------------------------------------------ *)
 (* Prng *)
@@ -851,6 +1109,12 @@ let () =
           Alcotest.test_case "string round trip" `Quick test_value_round_trip;
           Alcotest.test_case "accessors" `Quick test_value_accessors;
         ] );
+      ( "hashing",
+        [
+          Alcotest.test_case "tuple bucket skew" `Quick test_tuple_bucket_skew;
+          Alcotest.test_case "value hash constructors" `Quick
+            test_value_hash_constructors;
+        ] );
       ( "schema",
         [
           Alcotest.test_case "duplicates rejected" `Quick test_schema_duplicate;
@@ -896,6 +1160,7 @@ let () =
           prop_merge_join_cross_product;
           prop_semijoin_no_growth;
           prop_fast_equals_reference;
+          prop_joins_equal_reference;
           Alcotest.test_case "saturation ticks" `Quick
             test_kernel_saturation_ticks;
         ] );
@@ -903,6 +1168,7 @@ let () =
         [
           Alcotest.test_case "groups" `Quick test_index_groups;
           Alcotest.test_case "empty key" `Quick test_index_empty_key;
+          prop_index_equals_reference;
         ] );
       ( "heap",
         [
@@ -927,6 +1193,9 @@ let () =
             test_csv_output_rejects_saturated_count;
           Alcotest.test_case "zero count rejected" `Quick
             test_csv_zero_count_rejected;
+          Alcotest.test_case "positioned errors" `Quick
+            test_csv_positioned_errors;
+          prop_csv_fuzz;
           prop_csv_round_trip_or_rejects;
         ] );
       ( "prng",

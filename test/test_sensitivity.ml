@@ -693,6 +693,33 @@ let test_top_sensitive_part_order () =
        tables);
   Alcotest.(check bool) "rows in order" true (top_sensitive_matches_table a "R")
 
+(* A lonely attribute's value in witnesses and [top_sensitive] rows is
+   the smallest one its base relation holds, whichever row the table
+   entry came from. *)
+let test_lonely_attribute_filler () =
+  let cq = Cq.make [ ("R", [ "A"; "C" ]); ("S", [ "A" ]) ] in
+  let db =
+    Database.of_list
+      [
+        ( "R",
+          Relation.of_rows ~schema:(Schema.of_list [ "A"; "C" ])
+            [ [ v 1; v 5 ]; [ v 2; v 3 ]; [ v 1; v 7 ] ] );
+        ( "S",
+          Relation.create ~schema:(Schema.of_list [ "A" ])
+            [ (tup [ v 1 ], 3); (tup [ v 2 ], 1) ] );
+      ]
+  in
+  let a = Tsens.analyze ~skip:[ "S" ] cq db in
+  Alcotest.(check (list (pair Tgen.tuple_testable int)))
+    "top_sensitive rows"
+    [ (tup [ v 1; v 3 ], 3); (tup [ v 2; v 3 ], 1) ]
+    (Tsens.top_sensitive a "R" 5);
+  match (Tsens.result a).Sens_types.witness with
+  | None -> Alcotest.fail "expected a witness"
+  | Some w ->
+      Alcotest.check Tgen.tuple_testable "witness" (tup [ v 1; v 3 ])
+        w.Sens_types.tuple
+
 (* Each relation's witness, alone in an analysis that skips the others,
    is [top_sensitive]'s first row: the heaviest entry, ties broken by
    the smallest tuple in the table's column order — on factored tables
@@ -865,6 +892,8 @@ let () =
           Alcotest.test_case "top sensitive part order" `Quick
             test_top_sensitive_part_order;
           Alcotest.test_case "statistics fig3" `Quick test_statistics_fig3;
+          Alcotest.test_case "lonely attribute filler" `Quick
+            test_lonely_attribute_filler;
         ] );
       ( "approx",
         [
