@@ -583,15 +583,56 @@ let fast_equals_reference ((a, b), extra) =
            (Tgen.target_variants a))
     (a, b)
 
-let joins_equal_reference ((a, b), _) =
+(* One check per operator. The full-schema groups are the joined schema
+   in the order of either side first, and reversed. *)
+let natural_join_equals_reference ((a, b), _) =
   on_emptied_sides
     (fun (a, b) ->
       let reference = ref_natural_join a b in
       Relation.equal (Join.natural_join a b) reference
-      && Relation.equal (Join.merge_join a b) reference
-      && Count.equal (Join.count_join a b) (Relation.cardinality reference)
-      && Relation.equal (Join.semijoin a b) (ref_semijoin a b))
+      && Relation.equal (Join.merge_join a b) reference)
     (a, b)
+
+let count_join_equals_reference ((a, b), _) =
+  on_emptied_sides
+    (fun (a, b) ->
+      Count.equal (Join.count_join a b)
+        (Relation.cardinality (ref_natural_join a b)))
+    (a, b)
+
+let semijoin_equals_reference ((a, b), _) =
+  on_emptied_sides
+    (fun (a, b) -> Relation.equal (Join.semijoin a b) (ref_semijoin a b))
+    (a, b)
+
+let join_project_on groups ((a, b), extra) =
+  on_emptied_sides
+    (fun (a, b) ->
+      List.for_all
+        (fun group ->
+          Relation.equal (Join.join_project ~group a b)
+            (ref_join_project ~group a b))
+        (groups (Relation.schema a) (Relation.schema b) extra))
+    (a, b)
+
+let rev s = Schema.of_list (List.rev (Schema.attrs s))
+
+let join_project_equals_reference =
+  join_project_on (fun sa sb extra ->
+      [ extra; sa; rev sb; Schema.inter sa sb; Schema.empty ])
+
+let full_schema_join_project_equals_reference =
+  join_project_on (fun sa sb _ ->
+      [ Schema.union sa sb; Schema.union sb sa; rev (Schema.union sa sb) ])
+
+let project_equals_reference ((a, b), extra) =
+  List.for_all
+    (fun r ->
+      List.for_all
+        (fun target ->
+          Relation.equal (Relation.project target r) (ref_project target r))
+        (Schema.inter extra (Relation.schema r) :: Tgen.target_variants r))
+    [ a; b ]
 
 (* Index [b] on keys read from one side, both sides, a random subset and
    no attribute at all; probe with every key of both relations and one
@@ -604,7 +645,7 @@ let index_equals_reference ((a, b), extra) =
         [
           Schema.inter (Relation.schema a) sb;
           sb;
-          Schema.of_list (List.rev (Schema.attrs sb));
+          rev sb;
           Schema.inter extra sb;
           Schema.empty;
         ]
@@ -636,10 +677,11 @@ let index_equals_reference ((a, b), extra) =
 
 (* Ordinary and saturating pairs, with a random subset of the joined
    schema in random order. *)
-let reference_qtest name check =
+let reference_qtest
+    ?(pairs = [ Tgen.joinable_pair_gen; Tgen.saturating_pair_gen ]) name check =
   Tgen.qtest ~count:300 name
     QCheck2.Gen.(
-      oneof [ Tgen.joinable_pair_gen; Tgen.saturating_pair_gen ]
+      oneof pairs
       >>= fun (a, b) ->
       Tgen.sub_schema_gen
         (Schema.union (Relation.schema a) (Relation.schema b))
@@ -653,9 +695,38 @@ let prop_fast_equals_reference =
   reference_qtest "join_project, join_project_all, project = reference"
     fast_equals_reference
 
-let prop_joins_equal_reference =
-  reference_qtest "binary joins = nested-loop reference"
-    joins_equal_reference
+(* The per-operator checks also draw pairs that may share no attribute,
+   where every join is a cross product. *)
+let operator_qtest name check =
+  reference_qtest name check
+    ~pairs:
+      [
+        Tgen.joinable_pair_gen;
+        Tgen.saturating_pair_gen;
+        QCheck2.Gen.pair Tgen.relation_gen Tgen.relation_gen;
+      ]
+
+let prop_natural_join_equals_reference =
+  operator_qtest "natural_join = nested-loop reference"
+    natural_join_equals_reference
+
+let prop_count_join_equals_reference =
+  operator_qtest "count_join = nested-loop reference"
+    count_join_equals_reference
+
+let prop_semijoin_equals_reference =
+  operator_qtest "semijoin = nested-loop reference" semijoin_equals_reference
+
+let prop_join_project_equals_reference =
+  operator_qtest "join_project = nested-loop reference"
+    join_project_equals_reference
+
+let prop_full_schema_join_project_equals_reference =
+  operator_qtest "full-schema join_project = reference"
+    full_schema_join_project_equals_reference
+
+let prop_project_equals_reference =
+  operator_qtest "project = nested-loop reference" project_equals_reference
 
 let prop_index_equals_reference =
   reference_qtest "probes = nested-loop reference"
@@ -1160,7 +1231,12 @@ let () =
           prop_merge_join_cross_product;
           prop_semijoin_no_growth;
           prop_fast_equals_reference;
-          prop_joins_equal_reference;
+          prop_natural_join_equals_reference;
+          prop_count_join_equals_reference;
+          prop_semijoin_equals_reference;
+          prop_join_project_equals_reference;
+          prop_full_schema_join_project_equals_reference;
+          prop_project_equals_reference;
           Alcotest.test_case "saturation ticks" `Quick
             test_kernel_saturation_ticks;
         ] );
