@@ -41,26 +41,6 @@ let print_table ~columns rows =
   List.iter print_row rows;
   flush stdout
 
-(* Machine-readable bench trajectory: pair the per-kernel time estimates
-   with an operator-level [Obs] report of one instrumented pass, so
-   successive PRs can diff both wall-clock and row/probe counts. *)
-let write_obs_json ~path ~benchmarks report =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "{\"benchmarks\":[";
-  List.iteri
-    (fun i (name, seconds) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf "{\"name\":%S,\"seconds_per_run\":%.9f}" name seconds))
-    benchmarks;
-  Buffer.add_string buf "],\"obs\":";
-  Buffer.add_string buf (Obs.Report.to_json report);
-  Buffer.add_char buf '}';
-  Out_channel.with_open_text path (fun oc ->
-      output_string oc (Buffer.contents buf);
-      output_char oc '\n');
-  Printf.printf "wrote %s\n%!" path
-
 let parse_scales s =
   String.split_on_char ',' s
   |> List.map String.trim

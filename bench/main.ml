@@ -1,5 +1,5 @@
 (* Benchmark harness entry point: one sub-command per paper table/figure
-   (see DESIGN.md's experiment index), plus `micro` (bechamel kernels)
+   (see DESIGN.md's experiment index), plus `parallel` (the jobs sweep)
    and `all` (the default: every experiment at the default sizes).
 
    Default scales are reduced relative to the paper (which ran TPC-H up
@@ -124,10 +124,6 @@ let explain_cmd =
           Exp_explain.run ~seed ~scale ~fb_params)
       $ seed_arg $ scale_arg 0.001 $ fb_params_arg)
 
-let micro_cmd =
-  cmd "micro" "Bechamel micro-benchmarks of the core kernels."
-    Term.(const Micro.run $ const ())
-
 let parallel_cmd =
   let repeats =
     Arg.(
@@ -148,26 +144,6 @@ let parallel_cmd =
           Exp_parallel.run ~seed ~scale ~repeats ~out)
       $ seed_arg $ scale_arg 0.0001 $ repeats $ out)
 
-let cache_cmd =
-  let repeats =
-    Arg.(
-      value & opt int 3
-      & info [ "repeats" ] ~docv:"N" ~doc:"Trials per mode (best kept).")
-  in
-  let out =
-    Arg.(
-      value
-      & opt string "BENCH_cache.json"
-      & info [ "out" ] ~docv:"FILE" ~doc:"Output JSON path.")
-  in
-  cmd "cache"
-    "Cold/warm sweep of the memoization layer; checks cached results \
-     are identical to uncached and writes BENCH_cache.json."
-    Term.(
-      const (fun seed scale repeats out ->
-          Exp_cache.run ~seed ~scale ~repeats ~out)
-      $ seed_arg $ scale_arg 0.01 $ repeats $ out)
-
 let run_all seed scales scale runs epsilon fb_params =
   let fb_params = { fb_params with Facebook.seed } in
   let sweep = Exp_tpch_sweep.run ~seed ~scales in
@@ -178,8 +154,7 @@ let run_all seed scales scale runs epsilon fb_params =
   Exp_table2.run ~seed ~scale ~runs ~epsilon ~fb_params;
   Exp_param_ell.run ~seed ~runs ~epsilon ~fb_params;
   Exp_naive.run ~seed ~scale:0.0001;
-  Exp_topk.run ~seed ~scale:0.001 ~fb_params;
-  Micro.run ()
+  Exp_topk.run ~seed ~scale:0.001 ~fb_params
 
 let all_term =
   Term.(
@@ -205,9 +180,7 @@ let () =
         naive_cmd;
         topk_cmd;
         explain_cmd;
-        micro_cmd;
         parallel_cmd;
-        cache_cmd;
       ]
   in
   exit (Cmd.eval group)

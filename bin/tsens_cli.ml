@@ -54,40 +54,6 @@ let jobs_arg =
 
 let apply_jobs = function None -> () | Some n -> Exec.set_jobs n
 
-(* --cache / --no-cache override the TSENS_CACHE default; results are
-   bit-identical either way, caching only changes what gets recomputed. *)
-let cache_arg =
-  Arg.(
-    value
-    & vflag None
-        [
-          ( Some true,
-            info [ "cache" ]
-              ~doc:
-                "Memoize sensitivity analyses, indexes and truncation \
-                 profiles across calls, keyed by relation version stamps \
-                 (default: the $(b,TSENS_CACHE) environment variable). \
-                 Results are identical with and without." );
-          ( Some false,
-            info [ "no-cache" ] ~doc:"Disable the memoization layer." );
-        ])
-
-let cache_stats_flag =
-  Arg.(
-    value & flag
-    & info [ "cache-stats" ]
-        ~doc:
-          "Print per-store cache statistics (hits, misses, evictions, \
-           entries, approximate bytes) to stderr when done.")
-
-let apply_cache = function None -> () | Some b -> Cache.set_enabled b
-
-let with_cache_stats ~cache_stats f =
-  Fun.protect
-    ~finally:(fun () ->
-      if cache_stats then Format.eprintf "%a@." Cache.pp_stats (Cache.stats ()))
-    f
-
 let sql_flag =
   Arg.(
     value & flag
@@ -440,23 +406,25 @@ let explain_flag =
     & info [ "explain" ]
         ~doc:"Print intermediate topjoin/botjoin and table sizes.")
 
-let run_sensitivity query data algorithm k tables explain sql jobs cache
-    cache_stats stats trace =
+let run_sensitivity query data algorithm k tables explain sql jobs stats
+    trace =
   handle_errors (fun () ->
       apply_jobs jobs;
-      apply_cache cache;
-      with_cache_stats ~cache_stats @@ fun () ->
       with_observability ~stats ~trace @@ fun () ->
       let cq, constraints, db = prepare ~sql query data in
       let selection = Constraints.selection constraints in
       let need_selection_support name =
         if selection <> None then
           Errors.schema_errorf
-            "algorithm %s does not support selection constraints; use tsens              or naive" name
+            "algorithm %s does not support selection constraints; use tsens \
+             or naive"
+            name
       in
+      (* One DP run serves the TSens result, --explain and --tables. *)
+      let analysis = lazy (Tsens.analyze ?selection cq db) in
       let result =
         match algorithm with
-        | `Tsens -> Tsens.local_sensitivity ?selection cq db
+        | `Tsens -> Tsens.result (Lazy.force analysis)
         | `Path ->
             need_selection_support "path";
             Path_sens.local_sensitivity cq db
@@ -469,12 +437,10 @@ let run_sensitivity query data algorithm k tables explain sql jobs cache
             Approx.local_sensitivity ~k cq db
       in
       Format.printf "%a@." Sens_types.pp_result result;
-      if explain then begin
-        let analysis = Tsens.analyze ?selection cq db in
-        Format.printf "@.%a@." Tsens.pp_statistics analysis
-      end;
+      if explain then
+        Format.printf "@.%a@." Tsens.pp_statistics (Lazy.force analysis);
       if tables then begin
-        let analysis = Tsens.analyze ?selection cq db in
+        let analysis = Lazy.force analysis in
         List.iter
           (fun r ->
             Format.printf "@.multiplicity table of %s:@.%a@." r Relation.pp
@@ -488,8 +454,8 @@ let sensitivity_cmd =
        ~doc:"Local sensitivity of a counting query over CSV relations.")
     Term.(
       const run_sensitivity $ query_arg $ data_dir_arg $ algorithm_arg $ k_arg
-      $ tables_flag $ explain_flag $ sql_flag $ jobs_arg $ cache_arg
-      $ cache_stats_flag $ stats_arg $ trace_flag)
+      $ tables_flag $ explain_flag $ sql_flag $ jobs_arg $ stats_arg
+      $ trace_flag)
 
 (* ------------------------------------------------------------------ *)
 (* generate *)
@@ -554,12 +520,9 @@ let generate_cmd =
 (* ------------------------------------------------------------------ *)
 (* dp *)
 
-let run_dp query data private_relation epsilon ell seed sql jobs cache
-    cache_stats stats trace =
+let run_dp query data private_relation epsilon ell seed sql jobs stats trace =
   handle_errors (fun () ->
       apply_jobs jobs;
-      apply_cache cache;
-      with_cache_stats ~cache_stats @@ fun () ->
       with_observability ~stats ~trace @@ fun () ->
       let cq, constraints, db = prepare ~sql query data in
       let selection = Constraints.selection constraints in
@@ -597,8 +560,7 @@ let dp_cmd =
        ~doc:"Release the counting query's answer with TSensDP (epsilon-DP).")
     Term.(
       const run_dp $ query_arg $ data_dir_arg $ private_rel $ epsilon $ ell
-      $ seed_arg $ sql_flag $ jobs_arg $ cache_arg $ cache_stats_flag
-      $ stats_arg $ trace_flag)
+      $ seed_arg $ sql_flag $ jobs_arg $ stats_arg $ trace_flag)
 
 (* ------------------------------------------------------------------ *)
 

@@ -63,9 +63,7 @@ let learn_frequency_cap rng ~epsilon ~ell rel key =
 
 let truncate_by_frequency rel key cap =
   let key_schema = Schema.of_list [ key ] in
-  (* Version-keyed: repeated runs over an unchanged relation (bench
-     sweeps re-learn caps per trial) reuse the frequency index. *)
-  let groups = Cache.index ~key:key_schema rel in
+  let groups = Index.build ~key:key_schema rel in
   let positions = Schema.positions ~sub:key_schema (Relation.schema rel) in
   Relation.filter
     (fun _schema tuple ->

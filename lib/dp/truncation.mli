@@ -15,10 +15,7 @@ type profile
     fast thresholding. *)
 
 val profile : Tsens.analysis -> string -> profile
-(** Raises {!Errors.Schema_error} if the relation is not in the query.
-    Memoized by (analysis identity, relation) when the cache layer is
-    on: the analysis's {!Tsens.analysis_id} keys the store, so repeated
-    mechanism runs over one analysis sort the profile once. *)
+(** Raises {!Errors.Schema_error} if the relation is not in the query. *)
 
 val last_kept : profile -> int -> int
 (** Index of the last profiled entry whose tuple sensitivity is at most

@@ -104,6 +104,11 @@ let input ?schema ic =
          in
          let cnt =
            match int_of_string_opt cnt_field with
+           | Some c when Count.is_saturated c ->
+               fail
+                 "CSV row %S has count %S, the saturation point, which \
+                  only means 'at least' and is not an exact multiplicity"
+                 line cnt_field
            | Some c when c > 0 -> c
            | Some _ | None ->
                fail "CSV row %S has invalid count %S" line cnt_field

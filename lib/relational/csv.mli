@@ -19,8 +19,9 @@ val input : ?schema:Schema.t -> in_channel -> Relation.t
     attribute names; otherwise the header defines the schema. Raises
     {!Errors.Data_error} on malformed input — an empty input, a header
     without a trailing [cnt] column or with a repeated attribute, a
-    header mismatch, a row with the wrong number of fields or an invalid
-    count — and its message starts with ["line N: "], the 1-based line
-    number (the header is line 1). *)
+    header mismatch, a row with the wrong number of fields, an invalid
+    count or a count equal to {!Count.max_count} (a saturated count,
+    which {!output} refuses to write) — and its message starts with
+    ["line N: "], the 1-based line number (the header is line 1). *)
 
 val read_file : ?schema:Schema.t -> string -> Relation.t

@@ -21,10 +21,6 @@ let update ~name f db =
 
 let fold f db init = M.fold f db init
 
-let versions db =
-  M.fold (fun name r acc -> (name, Relation.version r) :: acc) db []
-  |> List.rev
-
 let total_tuples db =
   M.fold (fun _ r acc -> Count.add acc (Relation.cardinality r)) db Count.zero
 

@@ -71,9 +71,4 @@ let group_count t k =
 let max_group_count t =
   H.fold (fun _ g acc -> Count.max g.total acc) t.groups Count.zero
 
-(* Rough retained size in words, for cache weighting: ~3 words per
-   indexed row plus per-group overhead. *)
-let approx_words t =
-  H.fold (fun _ g words -> words + 8 + (3 * Array.length g.rows)) t.groups 0
-
 let iter_groups f t = H.iter (fun k g -> f k g.rows) t.groups

@@ -26,5 +26,3 @@ val max_group_count : t -> Count.t
 
 val iter_groups : (Tuple.t -> (Tuple.t * Count.t) array -> unit) -> t -> unit
 
-val approx_words : t -> int
-(** Rough retained size in words, for cache weighting. *)

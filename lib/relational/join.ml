@@ -273,6 +273,6 @@ let count_join a b =
     (fun ltup lcnt ->
       let key = Tuple.project plan.common_left ltup in
       let group = Index.group_count idx key in
-      total := Count.add_tracked !total (Count.mul lcnt group))
+      total := Count.add_tracked !total (Count.mul_tracked lcnt group))
     a;
   !total

@@ -1,20 +1,7 @@
 type t = {
   schema : Schema.t;
   rows : (Tuple.t * Count.t) array;
-  version : int;
 }
-
-(* Version stamps are allocated from one process-wide counter so that no
-   two constructed relations ever share a stamp. Relations are
-   immutable, so "mutation" (add/remove/import) always builds a new
-   value with a fresh stamp — a cache entry keyed by version can
-   therefore never be stale, only unreachable (and LRU eviction reclaims
-   those). Atomic because relations are also built on fan-out domains. *)
-let version_counter = Atomic.make 0
-let next_version () = Atomic.fetch_and_add version_counter 1
-let version r = r.version
-
-let mk schema rows = { schema; rows; version = next_version () }
 
 module T = Tuple.Tbl
 
@@ -31,7 +18,7 @@ let of_grouped schema rows =
     incr i
   done;
   if !i < n then Array.sort by_tuple rows;
-  mk schema rows
+  { schema; rows }
 
 (* Group an array of (tuple, count) pairs: sum multiplicities per
    distinct tuple and drop non-positive totals. One hash per pair: each
@@ -72,13 +59,13 @@ let of_tuples ~schema tuples = create ~schema (List.map (fun t -> (t, 1)) tuples
 let of_rows ~schema rows =
   of_tuples ~schema (List.map Tuple.of_list rows)
 
-let empty schema = mk schema [||]
+let empty schema = { schema; rows = [||] }
 
 let schema r = r.schema
 let rows r = r.rows
 
 let cardinality r =
-  Array.fold_left (fun acc (_, c) -> Count.add acc c) Count.zero r.rows
+  Array.fold_left (fun acc (_, c) -> Count.add_tracked acc c) Count.zero r.rows
 
 let distinct_count r = Array.length r.rows
 let is_empty r = Array.length r.rows = 0
@@ -135,14 +122,16 @@ let filter pred r =
   let rows =
     Array.to_list r.rows |> List.filter (fun (tup, _) -> pred r.schema tup)
   in
-  mk r.schema (Array.of_list rows)
+  { r with rows = Array.of_list rows }
 
-let rename mapping r = mk (Schema.rename mapping r.schema) r.rows
+let rename mapping r = { r with schema = Schema.rename mapping r.schema }
 
 let scale factor r =
   if factor <= 0 then Errors.data_errorf "scale: non-positive factor %d" factor;
-  mk r.schema
-    (Array.map (fun (t, c) -> (t, Count.mul_tracked c factor)) r.rows)
+  {
+    r with
+    rows = Array.map (fun (t, c) -> (t, Count.mul_tracked c factor)) r.rows;
+  }
 
 (* Point updates edit the sorted rows at the slot the binary search
    finds: no hashing and no sort. *)
@@ -153,14 +142,17 @@ let add ?(count = 1) tup r =
   if i < n && Tuple.equal (fst r.rows.(i)) tup then begin
     let rows = Array.copy r.rows in
     rows.(i) <- (tup, Count.add_tracked (snd rows.(i)) count);
-    mk r.schema rows
+    { r with rows }
   end
   else
-    mk r.schema
-      (Array.init (n + 1) (fun j ->
-           if j < i then r.rows.(j)
-           else if j = i then (tup, count)
-           else r.rows.(j - 1)))
+    {
+      r with
+      rows =
+        Array.init (n + 1) (fun j ->
+            if j < i then r.rows.(j)
+            else if j = i then (tup, count)
+            else r.rows.(j - 1));
+    }
 
 (* Clamp semantics: removing more copies than are stored empties the row
    and leaves the rest of the relation untouched. The alternative —
@@ -179,12 +171,16 @@ let remove ?(count = 1) tup r =
       if count < existing then begin
         let rows = Array.copy r.rows in
         rows.(i) <- (fst rows.(i), existing - count);
-        mk r.schema rows
+        { r with rows }
       end
       else
         let n = Array.length r.rows in
-        mk r.schema
-          (Array.append (Array.sub r.rows 0 i) (Array.sub r.rows (i + 1) (n - i - 1)))
+        {
+          r with
+          rows =
+            Array.append (Array.sub r.rows 0 i)
+              (Array.sub r.rows (i + 1) (n - i - 1));
+        }
 
 let max_row r =
   Array.fold_left
@@ -214,10 +210,8 @@ let equal a b =
        (fun (t1, c1) (t2, c2) -> Tuple.equal t1 t2 && Count.equal c1 c2)
        a.rows b.rows
 
-(* The identity shortcut matters for the cache layer: [Cq.instance]
-   reorders every atom's columns, and without it each call would mint
-   fresh relation values (fresh version stamps) even when the stored
-   schema already matches, defeating version-keyed memoization. *)
+(* The identity shortcut saves a copy: [Cq.instance] reorders every
+   atom's columns, and most stored schemas already match. *)
 let reorder target r =
   if Schema.equal target r.schema then r
   else begin

@@ -39,22 +39,13 @@ val of_grouped : Schema.t -> (Tuple.t * Count.t) array -> t
 
 val schema : t -> Schema.t
 
-val version : t -> int
-(** Monotonically increasing version stamp, unique per constructed
-    relation in this process. Relations are immutable, so every update
-    ([add], [remove], import, any operator) yields a new value with a
-    strictly larger stamp; two relations with the same stamp are the
-    same value. The cache layer keys memoized artifacts by these stamps,
-    which is why staleness is impossible: a mutated database presents
-    new stamps, and entries for unreachable stamps simply age out. Not
-    part of {!equal}. *)
-
 val rows : t -> (Tuple.t * Count.t) array
 (** The normalized rows, sorted by {!Tuple.compare}. The returned array is
     owned by the relation: callers must not mutate it. *)
 
 val cardinality : t -> Count.t
-(** Bag cardinality: sum of multiplicities (saturating). *)
+(** Bag cardinality: sum of multiplicities (saturating; a sum that
+    saturates ticks [count.saturations]). *)
 
 val distinct_count : t -> int
 val is_empty : t -> bool
@@ -71,9 +62,9 @@ val iter : (Tuple.t -> Count.t -> unit) -> t -> unit
 val project : Schema.t -> t -> t
 (** [project target r] is the paper's γ: group rows by the [target]
     attributes (a subset of [r]'s schema, any order) and sum counts.
-    Projecting onto the stored schema returns [r] itself, with its
-    version stamp; a target that only permutes the columns re-keys and
-    sorts without grouping, since the rows stay distinct.
+    Projecting onto the stored schema returns [r] itself; a target that
+    only permutes the columns re-keys and sorts without grouping, since
+    the rows stay distinct.
     Raises {!Errors.Schema_error} if [target] is not a subset. *)
 
 val filter : (Schema.t -> Tuple.t -> bool) -> t -> t
@@ -123,10 +114,9 @@ val equal_semantic : t -> t -> bool
 
 val reorder : Schema.t -> t -> t
 (** Reorder columns to match the given schema (same attribute set).
-    Returns the relation itself (same version stamp) when the target
-    equals the stored schema; otherwise this is {!project}'s permutation
-    path. Raises {!Errors.Schema_error} if the
-    attribute sets differ. *)
+    Returns the relation itself when the target equals the stored
+    schema; otherwise this is {!project}'s permutation path. Raises
+    {!Errors.Schema_error} if the attribute sets differ. *)
 
 val pp : Format.formatter -> t -> unit
 (** Multi-line table rendering with a [cnt] column. *)

@@ -182,11 +182,13 @@ let analyze ~k ?(plans = []) cq db =
            let others =
              List.fold_left2
                (fun acc c size ->
-                 if Cq.equal c component then acc else Count.mul acc size)
+                 if Cq.equal c component then acc
+                 else Count.mul_tracked acc size)
                Count.one components exact_sizes
            in
            List.map
-             (fun (r, (row, bound)) -> (r, (row, Count.mul bound others)))
+             (fun (r, (row, bound)) ->
+               (r, (row, Count.mul_tracked bound others)))
              run.bounds)
          runs exact_sizes)
   in

@@ -33,7 +33,6 @@ type table_stat = {
 }
 
 type analysis = {
-  id : int; (* unique per DP run; cache hits share the id *)
   query : Cq.t;
   db : Database.t; (* post-selection instance, atom column order *)
   selection : selection option;
@@ -42,12 +41,6 @@ type analysis = {
   res : Sens_types.result;
   node_stats : node_stat list;
 }
-
-(* Analysis identities let downstream layers (truncation profiles) key
-   their own memos by "which DP run produced this" without hashing the
-   whole value. Atomic: analyses may be built on any domain. *)
-let analysis_counter = Atomic.make 0
-let analysis_id a = a.id
 
 (* The identity of r⋈: one nullary tuple with multiplicity 1. *)
 let unit_relation =
@@ -470,7 +463,13 @@ let apply_selection selection cq db =
   in
   Database.of_list filtered
 
-let analyze_uncached ?selection ~skip ~plans cq db =
+let analyze ?selection ?(skip = []) ?(plans = []) cq db =
+  List.iter
+    (fun r ->
+      if not (Cq.mem_relation cq r) then
+        Errors.schema_errorf "skip: relation %s is not in query %s" r
+          (Cq.name cq))
+    skip;
   Obs.span "tsens.analyze" @@ fun () ->
   let db = apply_selection selection cq db in
   let components = Cq.components cq in
@@ -490,7 +489,7 @@ let analyze_uncached ?selection ~skip ~plans cq db =
   in
   let out_size =
     List.fold_left
-      (fun acc (_, (_, size, _)) -> Count.mul acc size)
+      (fun acc (_, (_, size, _)) -> Count.mul_tracked acc size)
       Count.one runs
   in
   let node_stats = List.concat_map (fun (_, (_, _, stats)) -> stats) runs in
@@ -502,7 +501,7 @@ let analyze_uncached ?selection ~skip ~plans cq db =
         let others =
           List.fold_left
             (fun acc (c, (_, size, _)) ->
-              if Cq.equal c component then acc else Count.mul acc size)
+              if Cq.equal c component then acc else Count.mul_tracked acc size)
             Count.one runs
         in
         List.map (fun (r, t) -> (r, scale_table others t)) tables)
@@ -542,7 +541,6 @@ let analyze_uncached ?selection ~skip ~plans cq db =
       }
   in
   {
-    id = Atomic.fetch_and_add analysis_counter 1;
     query = cq;
     db;
     selection;
@@ -551,70 +549,6 @@ let analyze_uncached ?selection ~skip ~plans cq db =
     res;
     node_stats;
   }
-
-(* Cached entry point. A whole analysis is a pure function of (query,
-   skip set, plans, relation contents); relation contents compress to
-   version stamps, so repeated analyses of an unchanged database hit
-   here and skip the DP entirely. Selections are arbitrary closures —
-   unfingerprintable — so selection queries always run uncached. When a
-   relation the query needs is missing we also fall through, keeping
-   the uncached path's error behavior (and never caching failures). *)
-let analysis_store : analysis Cache.Store.t =
-  Cache.Store.create ~name:"tsens.analysis" ~capacity:32
-    ~weight:(fun a ->
-      let table_rows =
-        List.fold_left
-          (fun acc (_, t) ->
-            acc
-            +
-            match t with
-            | Dense r -> Relation.distinct_count r
-            | Factored { parts; _ } ->
-                List.fold_left
-                  (fun acc p -> acc + Relation.distinct_count p)
-                  0 parts)
-          0 a.tables
-      in
-      let db_rows =
-        Database.fold (fun _ r acc -> acc + Relation.distinct_count r) a.db 0
-      in
-      (table_rows + db_rows) * 4 * 8)
-    ()
-
-let analysis_key ~skip ~plans cq db =
-  match
-    List.map
-      (fun name ->
-        match Database.find_opt name db with
-        | Some r -> (name, Relation.version r)
-        | None -> raise Exit)
-      (Cq.relation_names cq)
-  with
-  | exception Exit -> None
-  | versions ->
-      Some
-        (Cache.Key.of_parts
-           [
-             Cq.to_string cq;
-             String.concat "," (List.sort String.compare skip);
-             String.concat "&"
-               (List.map (fun g -> Format.asprintf "%a" Ghd.pp g) plans);
-             Cache.Key.versions versions;
-           ])
-
-let analyze ?selection ?(skip = []) ?(plans = []) cq db =
-  List.iter
-    (fun r ->
-      if not (Cq.mem_relation cq r) then
-        Errors.schema_errorf "skip: relation %s is not in query %s" r
-          (Cq.name cq))
-    skip;
-  let uncached () = analyze_uncached ?selection ~skip ~plans cq db in
-  if Option.is_some selection || not (Cache.enabled ()) then uncached ()
-  else
-    match analysis_key ~skip ~plans cq db with
-    | None -> uncached ()
-    | Some key -> Cache.Store.find_or_add analysis_store key uncached
 
 let local_sensitivity ?selection ?skip ?plans cq db =
   (analyze ?selection ?skip ?plans cq db).res

@@ -107,8 +107,8 @@ let test_reset_clears_but_keeps_handles () =
     t.Obs.Report.total;
   Obs.reset ()
 
-(* The sink feeds dashboards and BENCH_obs.json; keep the rendering
-   stable without parsing: shape-check the JSON by substring. *)
+(* The sink feeds the CLI's `--stats json`; keep the rendering stable
+   without parsing: shape-check the JSON by substring. *)
 let test_json_shape () =
   let json =
     with_sink (fun () ->

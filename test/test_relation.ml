@@ -323,6 +323,25 @@ let test_relation_reorder () =
   Alcotest.(check int) "value moved" 1 (Relation.count_of (tup [ v 2; v 1 ]) r');
   Alcotest.(check bool) "semantic equality" true (Relation.equal_semantic r r')
 
+(* Onto the stored schema, reorder and project return the relation
+   itself: Cq.instance reorders every atom and relies on this to skip a
+   copy when the columns already match. *)
+let test_relation_identity_reorder_project () =
+  let r =
+    Relation.create ~schema:(schema [ "A"; "B" ])
+      [ (tup [ s "a"; s "b" ], 1); (tup [ s "a"; s "c" ], 2) ]
+  in
+  Alcotest.(check bool) "identity reorder returns the relation" true
+    (Relation.reorder (schema [ "A"; "B" ]) r == r);
+  Alcotest.(check bool) "identity project returns the relation" true
+    (Relation.project (schema [ "A"; "B" ]) r == r);
+  let permuted = Relation.reorder (schema [ "B"; "A" ]) r in
+  let swapped = Relation.project (schema [ "B"; "A" ]) r in
+  Alcotest.(check bool) "a permutation builds a new value" false
+    (permuted == r || swapped == r);
+  Alcotest.(check bool) "permuting project = reorder" true
+    (Relation.equal swapped permuted)
+
 let test_relation_scale () =
   let r = Relation.of_rows ~schema:(schema [ "A" ]) [ [ v 1 ] ] in
   Alcotest.(check int) "scaled" 7 (Relation.cardinality (Relation.scale 7 r));
@@ -735,8 +754,10 @@ let prop_index_equals_reference =
 (* Saturation inside a kernel is reported: a group sum that crosses
    max_count from finite products or counts — in a join, a projection,
    a relation's construction or a point insert — a product that
-   saturates on emission, a scaled relation, a truncation profile and a
-   product of component sizes all tick count.saturations. *)
+   saturates on emission, a scaled relation, a truncation profile, a
+   count_join product, a bag cardinality and a product of component
+   sizes (Yannakakis, TSens and the top-k approximation) all tick
+   count.saturations. *)
 let test_kernel_saturation_ticks () =
   let saturations f =
     Obs.reset ();
@@ -848,7 +869,55 @@ let test_kernel_saturation_ticks () =
         ("S", Relation.create ~schema:(schema [ "B" ]) [ (tup [ v 1 ], 2) ]);
       ]
   in
-  check_count "yannakakis component product" (fun () -> Yannakakis.count cq db)
+  check_count "yannakakis component product" (fun () -> Yannakakis.count cq db);
+  let single name rows =
+    (name, Relation.create ~schema:(schema [ name ]) rows)
+  in
+  check_count "count_join product" (fun () ->
+      Join.count_join
+        (Relation.create ~schema:(schema [ "A" ]) [ (tup [ v 1 ], half) ])
+        (Relation.create ~schema:(schema [ "A" ]) [ (tup [ v 1 ], 2) ]));
+  let two_halves =
+    Relation.create ~schema:(schema [ "A" ])
+      [ (tup [ v 1 ], half); (tup [ v 2 ], half) ]
+  in
+  check_count "cardinality" (fun () -> Relation.cardinality two_halves);
+  check_count "tsens output size" (fun () ->
+      Tsens.output_size (Tsens.analyze cq db));
+  (* An empty first component keeps every running product of component
+     sizes at 0, so only the product of the other components' sizes
+     that scales T's table can saturate. *)
+  let cq3 = Cq.make [ ("T", [ "T" ]); ("R", [ "R" ]); ("S", [ "S" ]) ] in
+  let db3 =
+    Database.of_list
+      [
+        single "T" [];
+        single "R" [ (tup [ v 1 ], half) ];
+        single "S" [ (tup [ v 1 ], 2) ];
+      ]
+  in
+  check_count "tsens other components' size" (fun () ->
+      (Tsens.local_sensitivity cq3 db3).Sens_types.local_sensitivity);
+  check_count "approx other components' size" (fun () ->
+      (Approx.local_sensitivity ~k:4 cq3 db3).Sens_types.local_sensitivity);
+  (* R's bound inside its component is U's count 2; the other
+     component's size [half] is finite, and their product saturates. *)
+  let cq_bound =
+    Cq.make [ ("R", [ "A"; "B" ]); ("U", [ "B" ]); ("S", [ "S" ]) ]
+  in
+  let db_bound =
+    Database.of_list
+      [
+        ( "R",
+          Relation.create ~schema:(schema [ "A"; "B" ])
+            [ (tup [ v 1; v 1 ], 1) ] );
+        ("U", Relation.create ~schema:(schema [ "B" ]) [ (tup [ v 1 ], 2) ]);
+        single "S" [ (tup [ v 1 ], half) ];
+      ]
+  in
+  check_count "approx scaled bound" (fun () ->
+      (Approx.local_sensitivity ~k:4 cq_bound db_bound)
+        .Sens_types.local_sensitivity)
 
 (* ------------------------------------------------------------------ *)
 (* Index *)
@@ -1075,6 +1144,10 @@ let csv_error_line msg =
   try Scanf.sscanf msg "line %d: %_s" Option.some with
   | Scanf.Scan_failure _ | Failure _ | End_of_file -> None
 
+(* [Count.max_count] as a CSV field. It is the saturation point, only a
+   lower bound, so import must not read it as an exact multiplicity. *)
+let max_count_text = string_of_int Count.max_count
+
 let test_csv_positioned_errors () =
   List.iter
     (fun (name, expected, text, line) ->
@@ -1092,17 +1165,21 @@ let test_csv_positioned_errors () =
       ("header mismatch", Some (schema [ "X" ]), "A,cnt\n1,1\n", 1);
       ("field count", None, "A,cnt\n1,1\n\n1,2,3\n", 4);
       ("invalid count", None, "A,B,cnt\r\n1,2,3\r\n4,5,x\r\n", 3);
+      ("saturated count", None, "A,cnt\n1,1\n2," ^ max_count_text ^ "\n", 3);
     ]
 
 (* Lines drawn from a small alphabet (separators, digits, letters,
-   blanks, '\r' and the cnt keyword) hit every error path. Import
-   either returns a relation or raises Data_error naming a line of the
-   input; any other exception fails. *)
+   blanks, '\r', the cnt keyword and the saturated count) hit every
+   error path. Import either returns a relation or raises Data_error
+   naming a line of the input; any other exception fails. *)
 let csv_text_gen =
   QCheck2.Gen.(
     let token =
       oneofl
-        [ ","; ","; "0"; "1"; "2"; "7"; "a"; "B"; "x"; " "; "\t"; "\r"; "cnt" ]
+        [
+          ","; ","; "0"; "1"; "2"; "7"; "a"; "B"; "x"; " "; "\t"; "\r"; "cnt";
+          max_count_text;
+        ]
     in
     let line = map (String.concat "") (list_size (int_range 0 6) token) in
     let header =
@@ -1212,6 +1289,8 @@ let () =
           Alcotest.test_case "max_frequency" `Quick test_relation_max_frequency;
           Alcotest.test_case "active_domain" `Quick test_relation_active_domain;
           Alcotest.test_case "reorder" `Quick test_relation_reorder;
+          Alcotest.test_case "identity reorder and project" `Quick
+            test_relation_identity_reorder_project;
           Alcotest.test_case "scale" `Quick test_relation_scale;
           prop_project_preserves_cardinality;
           prop_mem_matches_count;
