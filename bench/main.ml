@@ -1,6 +1,6 @@
 (* Benchmark harness entry point: one sub-command per paper table/figure
-   (see DESIGN.md's experiment index), plus `parallel` (the jobs sweep)
-   and `all` (the default: every experiment at the default sizes).
+   (see DESIGN.md's experiment index), plus `all` (the default: every
+   experiment at the default sizes).
 
    Default scales are reduced relative to the paper (which ran TPC-H up
    to scale 10 on a dedicated machine); pass --scales / --scale to push
@@ -124,26 +124,6 @@ let explain_cmd =
           Exp_explain.run ~seed ~scale ~fb_params)
       $ seed_arg $ scale_arg 0.001 $ fb_params_arg)
 
-let parallel_cmd =
-  let repeats =
-    Arg.(
-      value & opt int 3
-      & info [ "repeats" ] ~docv:"N" ~doc:"Trials per job count (best kept).")
-  in
-  let out =
-    Arg.(
-      value
-      & opt string "BENCH_parallel.json"
-      & info [ "out" ] ~docv:"FILE" ~doc:"Output JSON path.")
-  in
-  cmd "parallel"
-    "Jobs sweep (1 and 2) of the fan-out call sites; checks results are \
-     identical across job counts and writes BENCH_parallel.json."
-    Term.(
-      const (fun seed scale repeats out ->
-          Exp_parallel.run ~seed ~scale ~repeats ~out)
-      $ seed_arg $ scale_arg 0.0001 $ repeats $ out)
-
 let run_all seed scales scale runs epsilon fb_params =
   let fb_params = { fb_params with Facebook.seed } in
   let sweep = Exp_tpch_sweep.run ~seed ~scales in
@@ -180,7 +160,6 @@ let () =
         naive_cmd;
         topk_cmd;
         explain_cmd;
-        parallel_cmd;
       ]
   in
   exit (Cmd.eval group)

@@ -42,18 +42,6 @@ let data_dir_arg =
 let seed_arg =
   Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"PRNG seed.")
 
-let jobs_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "j"; "jobs" ] ~docv:"N"
-        ~doc:
-          "Domains for the naive oracle's probes, the one parallel site \
-           (default: the $(b,TSENS_JOBS) environment variable, else \
-           $(b,1)). Results are identical at any job count.")
-
-let apply_jobs = function None -> () | Some n -> Exec.set_jobs n
-
 let sql_flag =
   Arg.(
     value & flag
@@ -406,10 +394,8 @@ let explain_flag =
     & info [ "explain" ]
         ~doc:"Print intermediate topjoin/botjoin and table sizes.")
 
-let run_sensitivity query data algorithm k tables explain sql jobs stats
-    trace =
+let run_sensitivity query data algorithm k tables explain sql stats trace =
   handle_errors (fun () ->
-      apply_jobs jobs;
       with_observability ~stats ~trace @@ fun () ->
       let cq, constraints, db = prepare ~sql query data in
       let selection = Constraints.selection constraints in
@@ -454,8 +440,7 @@ let sensitivity_cmd =
        ~doc:"Local sensitivity of a counting query over CSV relations.")
     Term.(
       const run_sensitivity $ query_arg $ data_dir_arg $ algorithm_arg $ k_arg
-      $ tables_flag $ explain_flag $ sql_flag $ jobs_arg $ stats_arg
-      $ trace_flag)
+      $ tables_flag $ explain_flag $ sql_flag $ stats_arg $ trace_flag)
 
 (* ------------------------------------------------------------------ *)
 (* generate *)
@@ -520,9 +505,8 @@ let generate_cmd =
 (* ------------------------------------------------------------------ *)
 (* dp *)
 
-let run_dp query data private_relation epsilon ell seed sql jobs stats trace =
+let run_dp query data private_relation epsilon ell seed sql stats trace =
   handle_errors (fun () ->
-      apply_jobs jobs;
       with_observability ~stats ~trace @@ fun () ->
       let cq, constraints, db = prepare ~sql query data in
       let selection = Constraints.selection constraints in
@@ -560,7 +544,7 @@ let dp_cmd =
        ~doc:"Release the counting query's answer with TSensDP (epsilon-DP).")
     Term.(
       const run_dp $ query_arg $ data_dir_arg $ private_rel $ epsilon $ ell
-      $ seed_arg $ sql_flag $ jobs_arg $ stats_arg $ trace_flag)
+      $ seed_arg $ sql_flag $ stats_arg $ trace_flag)
 
 (* ------------------------------------------------------------------ *)
 

@@ -1,16 +1,7 @@
 (* One global sink. The disabled path is the contract that lets this sit
    inside per-row loops: every entry point starts with [if not !on] on an
    immutable-after-startup ref, so instrumentation costs a branch until
-   someone flips the toggle.
-
-   Domain safety: instrumented operators may run on the worker domains
-   of a parallel region (lib/exec). The coordinating domain — the one that loaded this module
-   — keeps the original unsynchronized fast path: a plain field update
-   per event. Every other domain writes into its own domain-local cell,
-   registered once per (domain, handle) under a mutex; report capture
-   and reset fold the remote cells back into the totals. Spans keep a
-   single nesting stack and are recorded only on the coordinating
-   domain — a span opened on a worker just runs its body. *)
+   someone flips the toggle. *)
 
 let on = ref false
 let enabled () = !on
@@ -19,142 +10,50 @@ let enable () = on := true
 let disable () = on := false
 let now_seconds = Unix.gettimeofday
 
-let main_domain : int = (Domain.self () :> int)
-let on_main () = (Domain.self () :> int) = main_domain
-
-(* Guards handle interning and remote-cell registration — cold paths
-   only; per-event updates never take it. *)
-let registry_mutex = Mutex.create ()
-
 (* ------------------------------------------------------------------ *)
 (* Counters and gauges: interned mutable records, so the enabled path is
    a field update and the handle can live in a client module's top-level
    binding. *)
 
-type counter = {
-  c_name : string;
-  c_id : int;
-  mutable c_total : int; (* coordinating-domain cell *)
-  mutable c_remote : int ref list; (* one cell per worker domain *)
-}
-
-type gauge_cell = { mutable gc_max : int; mutable gc_set : bool }
-
-type gauge = {
-  g_name : string;
-  g_id : int;
-  mutable g_max : int;
-  mutable g_set : bool;
-  mutable g_remote : gauge_cell list;
-}
+type counter = { mutable c_total : int }
+type gauge = { mutable g_max : int; mutable g_set : bool }
 
 let counters : (string, counter) Hashtbl.t = Hashtbl.create 64
 let gauges : (string, gauge) Hashtbl.t = Hashtbl.create 32
-let next_id = ref 0
 
 let counter name =
-  Mutex.protect registry_mutex (fun () ->
-      match Hashtbl.find_opt counters name with
-      | Some c -> c
-      | None ->
-          incr next_id;
-          let c =
-            { c_name = name; c_id = !next_id; c_total = 0; c_remote = [] }
-          in
-          Hashtbl.replace counters name c;
-          c)
-
-(* Per-domain scratch: handle id -> this domain's cell. Workers find
-   their cell with one small-table lookup per event, which only runs
-   while the sink is enabled. *)
-let dls_counters : (int, int ref) Hashtbl.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Hashtbl.create 8)
-
-let dls_gauges : (int, gauge_cell) Hashtbl.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Hashtbl.create 8)
-
-let counter_cell c =
-  let tbl = Domain.DLS.get dls_counters in
-  match Hashtbl.find_opt tbl c.c_id with
-  | Some r -> r
+  match Hashtbl.find_opt counters name with
+  | Some c -> c
   | None ->
-      let r = ref 0 in
-      Hashtbl.replace tbl c.c_id r;
-      Mutex.protect registry_mutex (fun () -> c.c_remote <- r :: c.c_remote);
-      r
+      let c = { c_total = 0 } in
+      Hashtbl.replace counters name c;
+      c
 
-let add c n =
-  if !on then
-    if on_main () then c.c_total <- c.c_total + n
-    else begin
-      let r = counter_cell c in
-      r := !r + n
-    end
-
+let add c n = if !on then c.c_total <- c.c_total + n
 let tick c = add c 1
 
 (* Intern only when live, keeping the disabled path allocation-free. *)
 let count name n = if !on then add (counter name) n
 
 let gauge name =
-  Mutex.protect registry_mutex (fun () ->
-      match Hashtbl.find_opt gauges name with
-      | Some g -> g
-      | None ->
-          incr next_id;
-          let g =
-            {
-              g_name = name;
-              g_id = !next_id;
-              g_max = 0;
-              g_set = false;
-              g_remote = [];
-            }
-          in
-          Hashtbl.replace gauges name g;
-          g)
-
-let gauge_cell g =
-  let tbl = Domain.DLS.get dls_gauges in
-  match Hashtbl.find_opt tbl g.g_id with
-  | Some cell -> cell
+  match Hashtbl.find_opt gauges name with
+  | Some g -> g
   | None ->
-      let cell = { gc_max = 0; gc_set = false } in
-      Hashtbl.replace tbl g.g_id cell;
-      Mutex.protect registry_mutex (fun () -> g.g_remote <- cell :: g.g_remote);
-      cell
+      let g = { g_max = 0; g_set = false } in
+      Hashtbl.replace gauges name g;
+      g
 
 let observe g v =
-  if !on then
-    if on_main () then begin
-      if (not g.g_set) || v > g.g_max then g.g_max <- v;
-      g.g_set <- true
-    end
-    else begin
-      let cell = gauge_cell g in
-      if (not cell.gc_set) || v > cell.gc_max then cell.gc_max <- v;
-      cell.gc_set <- true
-    end
-
-let counter_total c =
-  List.fold_left (fun acc r -> acc + !r) c.c_total c.c_remote
-
-let gauge_total g =
-  List.fold_left
-    (fun acc cell ->
-      match acc with
-      | None -> if cell.gc_set then Some cell.gc_max else None
-      | Some m ->
-          if cell.gc_set && cell.gc_max > m then Some cell.gc_max else acc)
-    (if g.g_set then Some g.g_max else None)
-    g.g_remote
+  if !on then begin
+    if (not g.g_set) || v > g.g_max then g.g_max <- v;
+    g.g_set <- true
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Spans: aggregated per nesting path, never per activation, so a join
    called a thousand times under one phase is one row. The stack carries,
    per open activation, the accumulated child time used to derive self
-   time on exit. Both structures belong to the coordinating domain;
-   spans opened elsewhere are not recorded. *)
+   time on exit. *)
 
 type span_agg = {
   mutable calls : int;
@@ -176,7 +75,7 @@ let span_agg path =
       s
 
 let span name f =
-  if (not !on) || not (on_main ()) then f ()
+  if not !on then f ()
   else begin
     let path =
       match !stack with
@@ -209,22 +108,12 @@ let span name f =
   end
 
 let reset () =
-  Mutex.protect registry_mutex (fun () ->
-      Hashtbl.iter
-        (fun _ c ->
-          c.c_total <- 0;
-          List.iter (fun r -> r := 0) c.c_remote)
-        counters;
-      Hashtbl.iter
-        (fun _ g ->
-          g.g_max <- 0;
-          g.g_set <- false;
-          List.iter
-            (fun cell ->
-              cell.gc_max <- 0;
-              cell.gc_set <- false)
-            g.g_remote)
-        gauges);
+  Hashtbl.iter (fun _ c -> c.c_total <- 0) counters;
+  Hashtbl.iter
+    (fun _ g ->
+      g.g_max <- 0;
+      g.g_set <- false)
+    gauges;
   Hashtbl.reset spans;
   stack := []
 
@@ -263,17 +152,14 @@ module Report = struct
     let counters =
       Hashtbl.fold
         (fun name c acc ->
-          let total = counter_total c in
-          if total = 0 then acc else { name; total } :: acc)
+          if c.c_total = 0 then acc else { name; total = c.c_total } :: acc)
         counters []
       |> List.sort (fun a b -> String.compare a.name b.name)
     in
     let gauges =
       Hashtbl.fold
         (fun name g acc ->
-          match gauge_total g with
-          | None -> acc
-          | Some total -> { name; total } :: acc)
+          if g.g_set then { name; total = g.g_max } :: acc else acc)
         gauges []
       |> List.sort (fun a b -> String.compare a.name b.name)
     in

@@ -11,15 +11,7 @@
     The sink is process-global; enable it around one measured region at
     a time (the CLI's [--trace]/[--stats], the bench harness). Toggling
     it inside an open span leaves that span unrecorded but is otherwise
-    harmless.
-
-    Counters and gauges are domain-safe: events from worker domains
-    (lib/exec regions) land in per-domain cells that {!Report.capture} and
-    {!reset} fold back into the totals, so instrumented operators can
-    run inside parallel regions. Spans are recorded only on the
-    coordinating domain — the one that loaded this module; a span opened
-    on a worker domain just runs its body. Toggling or resetting the
-    sink while a parallel region is in flight is not supported. *)
+    harmless. *)
 
 (** {1 The global toggle} *)
 

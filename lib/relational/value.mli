@@ -1,4 +1,4 @@
-(** Atomic attribute values.
+(** Scalar attribute values.
 
     Values are immutable and totally ordered; the order is used by
     sort-merge joins and by deterministic output formatting. Comparisons

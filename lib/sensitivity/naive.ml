@@ -13,7 +13,9 @@ let intersect_sorted xs ys =
   in
   loop [] xs ys
 
-let representative_domain cq db relation =
+(* Per attribute of [relation], the values an insertion candidate may
+   take there. *)
+let attribute_domains cq db relation =
   let schema = Cq.schema_of cq relation in
   let base = Database.find relation db in
   let domain_of attr =
@@ -36,7 +38,10 @@ let representative_domain cq db relation =
           (Relation.active_domain attr (Database.find first db))
           rest
   in
-  let domains = List.map domain_of (Schema.attrs schema) in
+  List.map domain_of (Schema.attrs schema)
+
+(* The candidates: the cross product of the attribute domains, sorted. *)
+let candidates_of domains =
   let rec product = function
     | [] -> [ [] ]
     | d :: rest ->
@@ -44,6 +49,9 @@ let representative_domain cq db relation =
         List.concat_map (fun v -> List.map (fun t -> v :: t) tails) d
   in
   List.map Tuple.of_list (product domains) |> List.sort Tuple.compare
+
+let representative_domain cq db relation =
+  candidates_of (attribute_domains cq db relation)
 
 let count_with cq db relation rel' =
   Yannakakis.count cq (Database.add ~name:relation rel' db)
@@ -81,8 +89,25 @@ let local_sensitivity ?selection ?(max_candidates = 100_000) cq db =
     | None -> true
     | Some pred -> pred relation schema tuple
   in
+  let domains =
+    List.map (fun r -> (r, attribute_domains cq db r)) (Cq.relation_names cq)
+  in
+  (* The candidate count is the product of the attribute domains' sizes,
+     so the guard fires before any probe or product is built. *)
+  List.iter
+    (fun (relation, domains) ->
+      let candidates =
+        List.fold_left
+          (fun n d -> Count.mul n (List.length d))
+          Count.one domains
+      in
+      if candidates > max_candidates then
+        Errors.data_errorf
+          "naive sensitivity: %d insertion candidates for %s exceed the limit %d"
+          candidates relation max_candidates)
+    domains;
   let base_count = Yannakakis.count cq db in
-  let best_for relation =
+  let best_for (relation, domains) =
     let rel = Database.find relation db in
     let schema = Cq.schema_of cq relation in
     let consider best tuple delta =
@@ -91,15 +116,9 @@ let local_sensitivity ?selection ?(max_candidates = 100_000) cq db =
       | _ when Count.equal delta Count.zero -> best
       | _ -> Some (tuple, schema, delta)
     in
-    (* Every probe re-evaluates the query on a database differing in one
-       tuple — independent and expensive, so the deltas fan out over
-       [Exec.jobs ()] domains (1.4-1.8x at jobs=2 on Section 7.2's q1 run,
-       bench parallel, 2-core host). The folds below run in candidate
-       order, keeping the sequential tie-breaking (first strictly-better
-       tuple wins). *)
     (* Deletions: one copy of each existing distinct tuple. *)
     let deletions =
-      Exec.parallel_map
+      Array.map
         (fun (tuple, _) ->
           let removed = count_with cq db relation (Relation.remove tuple rel) in
           (tuple, Count.of_int (base_count - removed)))
@@ -113,23 +132,18 @@ let local_sensitivity ?selection ?(max_candidates = 100_000) cq db =
     (* Insertions: one copy of each representative-domain tuple.
        Inadmissible candidates map to a zero delta, which [consider]
        ignores. *)
-    let candidates = representative_domain cq db relation in
-    if List.length candidates > max_candidates then
-      Errors.data_errorf
-        "naive sensitivity: %d insertion candidates for %s exceed the limit %d"
-        (List.length candidates) relation max_candidates;
     let insertions =
-      Exec.parallel_map_list
+      List.map
         (fun tuple ->
           if not (admissible relation schema tuple) then (tuple, Count.zero)
           else
             let added = count_with cq db relation (Relation.add tuple rel) in
             (tuple, Count.of_int (added - base_count)))
-        candidates
+        (candidates_of domains)
     in
     List.fold_left
       (fun best (tuple, delta) -> consider best tuple delta)
       best insertions
   in
   Sens_types.result_of_per_relation
-    (List.map (fun r -> (r, best_for r)) (Cq.relation_names cq))
+    (List.map (fun ((r, _) as d) -> (r, best_for d)) domains)

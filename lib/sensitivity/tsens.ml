@@ -70,7 +70,8 @@ let table_entry atom_schema table tuple =
           let positions =
             Schema.positions ~sub:(Relation.schema part) atom_schema
           in
-          Count.mul acc (Relation.count_of (Tuple.project positions tuple) part))
+          Count.mul_tracked acc
+            (Relation.count_of (Tuple.project positions tuple) part))
         factor parts
 
 (* Heaviest first, ties broken by the smallest tuple. *)
@@ -178,7 +179,7 @@ let table_rows_desc ?limit table =
             let count =
               Array.to_list
                 (Array.mapi (fun i j -> snd part_rows.(i).(j)) indices)
-              |> List.fold_left Count.mul factor
+              |> List.fold_left Count.mul_tracked factor
             in
             (row, count)
           in
@@ -249,7 +250,8 @@ let scale_table factor table =
         if Count.equal factor Count.zero then
           Dense (Relation.empty (Relation.schema r))
         else Dense (Relation.scale factor r)
-    | Factored f -> Factored { f with factor = Count.mul f.factor factor }
+    | Factored f ->
+        Factored { f with factor = Count.mul_tracked f.factor factor }
 
 (* ------------------------------------------------------------------ *)
 (* The two-pass DP over one connected component's decomposition.
@@ -320,9 +322,6 @@ let run_component ?(skip = []) ghd db =
       (fun r -> not (List.exists (String.equal r) skip))
       (Cq.relation_names cq)
   in
-  (* The tables are built one after another: one dense table usually
-     dominates (Orders' in q3), and a per-relation fan-out measured
-     0.89x at jobs=2 on q3 (bench parallel, 2-core host). *)
   let tables =
     Obs.span "tsens.tables" @@ fun () ->
     List.map

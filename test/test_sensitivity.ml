@@ -805,10 +805,67 @@ let test_approx_rejects_cyclic_and_bad_k () =
     | _ -> false)
 
 (* ------------------------------------------------------------------ *)
+(* Saturation reporting under Obs *)
+
+(* [f ()]'s outcome and what Obs recorded while it ran. *)
+let traced f =
+  Obs.reset ();
+  Obs.enable ();
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.disable ();
+      Obs.reset ())
+    (fun () ->
+      let outcome = try Ok (f ()) with e -> Error e in
+      (outcome, Obs.Report.capture ()))
+
+let test_factored_table_saturation () =
+  (* R2's table is factored (⊥ from R1 on B times ⊥ from R3 on C); its
+     one entry, (max_count/2+1) · 2, saturates though |Q(D)| = 0. *)
+  let cq =
+    Cq.make
+      [ ("R1", [ "A"; "B" ]); ("R2", [ "B"; "C" ]); ("R3", [ "C"; "D" ]) ]
+  in
+  let rel attrs rows = Relation.create ~schema:(schema attrs) rows in
+  let half = (Count.max_count / 2) + 1 in
+  let db =
+    Database.of_list
+      [
+        ("R1", rel [ "A"; "B" ] [ (tup [ v 1; v 1 ], half) ]);
+        ("R2", rel [ "B"; "C" ] [ (tup [ v 9; v 9 ], 1) ]);
+        ("R3", rel [ "C"; "D" ] [ (tup [ v 2; v 2 ], 2) ]);
+      ]
+  in
+  let saturations (outcome, report) =
+    let ticks =
+      List.fold_left
+        (fun acc t ->
+          if String.equal t.Obs.Report.name "count.saturations" then
+            acc + t.Obs.Report.total
+          else acc)
+        0 report.Obs.Report.counters
+    in
+    (Result.get_ok outcome, ticks)
+  in
+  let a, ticks = saturations (traced (fun () -> Tsens.analyze cq db)) in
+  Alcotest.(check bool) "LS saturated" true
+    (Count.is_saturated (Tsens.result a).Sens_types.local_sensitivity);
+  Alcotest.(check int) "|Q(D)|" 0 (Tsens.output_size a);
+  Alcotest.(check bool) "analyze ticks count.saturations" true (ticks >= 1);
+  (* A lookup multiplies the parts again. *)
+  let delta, ticks =
+    saturations
+      (traced (fun () -> Tsens.tuple_sensitivity a "R2" (tup [ v 1; v 2 ])))
+  in
+  Alcotest.(check bool) "entry saturated" true (Count.is_saturated delta);
+  Alcotest.(check bool) "lookup ticks count.saturations" true (ticks >= 1)
+
+(* ------------------------------------------------------------------ *)
 (* Naive-specific behaviour *)
 
 let test_naive_candidate_guard () =
-  (* Representative domains grow multiplicatively; the guard refuses. *)
+  (* Representative domains grow multiplicatively; the guard refuses
+     before any probe runs the query. *)
   let cq = Cq.make [ ("R1", [ "A"; "B" ]); ("R2", [ "A"; "B" ]) ] in
   let rows = List.init 20 (fun i -> [ v i; v (i + 100) ]) in
   let db =
@@ -818,10 +875,19 @@ let test_naive_candidate_guard () =
         ("R2", Relation.of_rows ~schema:(schema [ "A"; "B" ]) rows);
       ]
   in
+  let outcome, report =
+    traced (fun () -> Naive.local_sensitivity ~max_candidates:10 cq db)
+  in
   Alcotest.(check bool) "guard fires" true
-    (match Naive.local_sensitivity ~max_candidates:10 cq db with
-    | exception Errors.Data_error _ -> true
-    | _ -> false)
+    (match outcome with Error (Errors.Data_error _) -> true | _ -> false);
+  let is_join segment = String.starts_with ~prefix:"join." segment in
+  Alcotest.(check (list string)) "no join span" []
+    (List.filter_map
+       (fun sp ->
+         let path = sp.Obs.Report.path in
+         if List.exists is_join (String.split_on_char '/' path) then Some path
+         else None)
+       report.Obs.Report.spans)
 
 let test_representative_domain () =
   let dom = Naive.representative_domain fig1_cq fig1_db "R1" in
@@ -894,6 +960,8 @@ let () =
           Alcotest.test_case "statistics fig3" `Quick test_statistics_fig3;
           Alcotest.test_case "lonely attribute filler" `Quick
             test_lonely_attribute_filler;
+          Alcotest.test_case "factored table saturation" `Quick
+            test_factored_table_saturation;
         ] );
       ( "approx",
         [
