@@ -133,63 +133,6 @@ let join_all = function
   | [] -> invalid_arg "Join.join_all: empty list"
   | r :: rest -> List.fold_left natural_join r rest
 
-(* Sort-merge: both sides keyed by their common-attribute projection and
-   sorted; equal-key runs pair up as block cross products. *)
-let merge_join a b =
-  Obs.span "join.merge" @@ fun () ->
-  let plan = make_plan (Relation.schema a) (Relation.schema b) in
-  let keyed rel positions =
-    let rows = Relation.rows rel in
-    let arr =
-      Array.map (fun (tup, cnt) -> (Tuple.project positions tup, tup, cnt)) rows
-    in
-    Array.sort (fun (k1, t1, _) (k2, t2, _) ->
-        match Tuple.compare k1 k2 with 0 -> Tuple.compare t1 t2 | c -> c)
-      arr;
-    arr
-  in
-  let right_positions =
-    Schema.positions ~sub:plan.common_right (Relation.schema b)
-  in
-  let left = keyed a plan.common_left in
-  let right = keyed b right_positions in
-  let key (k, _, _) = k in
-  (* End of the run of equal keys starting at [i]. *)
-  let run_end arr i =
-    let k = key arr.(i) in
-    let j = ref (i + 1) in
-    while !j < Array.length arr && Tuple.equal (key arr.(!j)) k do
-      incr j
-    done;
-    !j
-  in
-  let out = ref [] in
-  (* Instrument each row as it is emitted rather than re-walking the
-     accumulated output afterwards. *)
-  let emit =
-    instrument_emit (fun ltup rtup cnt ->
-        out := (combine plan ltup rtup, cnt) :: !out)
-  in
-  let i = ref 0 and j = ref 0 in
-  while !i < Array.length left && !j < Array.length right do
-    let c = Tuple.compare (key left.(!i)) (key right.(!j)) in
-    if c < 0 then i := run_end left !i
-    else if c > 0 then j := run_end right !j
-    else begin
-      let i_end = run_end left !i and j_end = run_end right !j in
-      for li = !i to i_end - 1 do
-        let _, ltup, lcnt = left.(li) in
-        for rj = !j to j_end - 1 do
-          let _, rtup, rcnt = right.(rj) in
-          emit ltup rtup (Count.mul lcnt rcnt)
-        done
-      done;
-      i := i_end;
-      j := j_end
-    end
-  done;
-  Relation.of_grouped plan.combined (Array.of_list !out)
-
 (* Greedy connected ordering: start from the widest relation and keep
    picking a relation sharing attributes with the accumulated schema
    (most shared first), falling back to the widest remaining one when

@@ -12,14 +12,6 @@ val natural_join : Relation.t -> Relation.t -> Relation.t
     the right side is hashed on the common attributes and the left side
     streamed through it. *)
 
-val merge_join : Relation.t -> Relation.t -> Relation.t
-(** The same natural join computed by sort-merge — the implementation the
-    paper's Algorithm 1/2 descriptions assume ("sort both relations on
-    the join column, join together"). Output is identical to
-    {!natural_join}; the cost profile differs: O((n+m) log) sorting plus
-    a linear merge, with no hash table. With no common attributes this
-    degenerates to the cross product, like {!natural_join}. *)
-
 val join_project : group:Schema.t -> Relation.t -> Relation.t -> Relation.t
 (** [join_project ~group a b] is [Relation.project group (natural_join a b)]
     computed without materializing the full join — the fused

@@ -1,7 +1,7 @@
 (** Scalar attribute values.
 
-    Values are immutable and totally ordered; the order is used by
-    sort-merge joins and by deterministic output formatting. Comparisons
+    Values are immutable and totally ordered; the order keeps relations'
+    rows sorted and output formatting deterministic. Comparisons
     across constructors order [Int < Str < Bool] — mixing types in one
     attribute is legal but discouraged. *)
 

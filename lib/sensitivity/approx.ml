@@ -149,29 +149,22 @@ let run_component ~k ghd db =
   in
   { bounds; intermediate_rows = !intermediates }
 
-let plan_for plans component =
-  match Yannakakis.find_plan plans component with
-  | Some g -> g
-  | None -> (
-      match Join_tree.of_cq component with
-      | Some jt -> Ghd.of_join_tree jt
-      | None -> Ghd.auto component)
-
-let analyze ~k ?(plans = []) cq db =
+let analyze ~k ?plans cq db =
   if k < 1 then invalid_arg "Approx: k must be at least 1";
   let db = Database.of_list (Cq.instance cq db) in
   let components = Cq.components cq in
   let runs =
     List.map
       (fun component ->
-        (component, run_component ~k (plan_for plans component) db))
+        let plan = Yannakakis.plan_for ?plans component in
+        (component, run_component ~k plan db))
       components
   in
   (* Cross-component scaling uses exact component sizes: the scaling is a
      property of the data, not of the compressed tables. *)
   let exact_sizes =
     List.map
-      (fun component -> Yannakakis.count ~plans component db)
+      (fun component -> Yannakakis.count ?plans component db)
       components
   in
   let bounds =
@@ -204,26 +197,13 @@ let analyze ~k ?(plans = []) cq db =
             match acc with
             | Some w when w.Sens_types.sensitivity >= bound -> acc
             | _ ->
-                (* Extend the explicit row over the atom schema. *)
-                let schema = Cq.schema_of cq relation in
-                let table_schema = shared_schema cq relation in
-                let value_for attr =
-                  match Schema.index_opt attr table_schema with
-                  | Some i -> Tuple.get row i
-                  | None -> (
-                      match
-                        Relation.active_domain attr (Database.find relation db)
-                      with
-                      | v :: _ -> v
-                      | [] -> Value.str "any")
-                in
                 Some
                   {
                     Sens_types.relation;
-                    schema;
+                    schema = Cq.schema_of cq relation;
                     tuple =
-                      Tuple.of_list
-                        (List.map value_for (Schema.attrs schema));
+                      Sens_types.extender db cq relation
+                        (shared_schema cq relation) row;
                     sensitivity = bound;
                   }))
       None bounds

@@ -27,16 +27,11 @@ let plan_of_ghd ghd =
   in
   left_deep (List.map (fun a -> Leaf a) atoms)
 
-let plan_of_cq ?(plans = []) cq =
-  let component_plan component =
-    match Yannakakis.find_plan plans component with
-    | Some g -> plan_of_ghd g
-    | None -> (
-        match Join_tree.of_cq component with
-        | Some jt -> plan_of_ghd (Ghd.of_join_tree jt)
-        | None -> plan_of_ghd (Ghd.auto component))
-  in
-  left_deep (List.map component_plan (Cq.components cq))
+let plan_of_cq ?plans cq =
+  left_deep
+    (List.map
+       (fun component -> plan_of_ghd (Yannakakis.plan_for ?plans component))
+       (Cq.components cq))
 
 let rec plan_schema cq = function
   | Leaf r -> Cq.schema_of cq r

@@ -1,20 +1,6 @@
 open Tsens_relational
 open Tsens_query
 
-(* Extrapolates a witness over the atom schema from at most two pinned
-   shared-attribute values (paper: endpoint attributes take any value). *)
-let witness_of db cq relation pinned =
-  let base = Database.find relation db in
-  let value_for attr =
-    match List.assoc_opt attr pinned with
-    | Some v -> v
-    | None -> (
-        match Relation.active_domain attr base with
-        | v :: _ -> v
-        | [] -> Value.str "any")
-  in
-  Tuple.of_list (List.map value_for (Schema.attrs (Cq.schema_of cq relation)))
-
 let check_order cq order =
   match Classify.path_order cq with
   | None ->
@@ -42,7 +28,9 @@ let local_sensitivity ?order cq db =
   let schema_of i = Cq.schema_of cq names.(i) in
   if m = 1 then
     (* Single relation: LS is always 1 (paper Section 2.1). *)
-    let w = witness_of instance cq names.(0) [] in
+    let w =
+      Sens_types.extender instance cq names.(0) Schema.empty (Tuple.of_list [])
+    in
     Sens_types.result_of_per_relation
       [ (names.(0), Some (w, schema_of 0, Count.one)) ]
   else begin
@@ -66,14 +54,15 @@ let local_sensitivity ?order cq db =
     for i = m - 3 downto 0 do
       bots.(i) <- Join.join_project ~group:common.(i) bots.(i + 1) (rel (i + 1))
     done;
+    (* The heaviest entry of one side and its pinned values; an endpoint
+       contributes factor 1 and pins nothing, an empty side makes every
+       tuple insensitive. *)
     let heaviest = function
-      | None -> Some (Count.one, []) (* endpoints contribute factor 1 *)
-      | Some table -> (
-          match Relation.max_row table with
-          | None -> None (* empty side: every tuple is insensitive *)
-          | Some (row, cnt) ->
-              let attrs = Schema.attrs (Relation.schema table) in
-              Some (cnt, List.combine attrs (Array.to_list row)))
+      | None -> Some (Count.one, Schema.empty, Tuple.of_list [])
+      | Some table ->
+          Option.map
+            (fun (row, cnt) -> (cnt, Relation.schema table, row))
+            (Relation.max_row table)
     in
     let bests_in_path_order =
       List.init m (fun i ->
@@ -81,9 +70,12 @@ let local_sensitivity ?order cq db =
           let bot = heaviest (if i = m - 1 then None else Some bots.(i)) in
           let best =
             match (top, bot) with
-            | Some (ct, pt), Some (cb, pb) ->
-                let w = witness_of instance cq names.(i) (pt @ pb) in
-                Some (w, schema_of i, Count.mul ct cb)
+            | Some (ct, st, rt), Some (cb, sb, rb) ->
+                let w =
+                  Sens_types.extender instance cq names.(i)
+                    (Schema.union st sb) (Tuple.concat rt rb)
+                in
+                Some (w, schema_of i, Count.mul_tracked ct cb)
             | None, _ | _, None -> None
           in
           (names.(i), best))

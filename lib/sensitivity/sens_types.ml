@@ -38,6 +38,32 @@ let result_of_per_relation bests =
   in
   { local_sensitivity; witness; per_relation }
 
+let extender db cq relation row_schema =
+  let base = Database.find relation db in
+  let smallest attr =
+    let pos = Schema.index attr (Relation.schema base) in
+    Relation.fold
+      (fun tup _ best ->
+        let x = Tuple.get tup pos in
+        match best with
+        | Some b when Value.compare b x <= 0 -> best
+        | _ -> Some x)
+      base None
+    |> Option.value ~default:(Value.str "any")
+  in
+  let sources =
+    Schema.attrs (Tsens_query.Cq.schema_of cq relation)
+    |> List.map (fun attr ->
+           match Schema.index_opt attr row_schema with
+           | Some i -> Either.Left i
+           | None -> Either.Right (smallest attr))
+    |> Array.of_list
+  in
+  fun row ->
+    Array.map
+      (function Either.Left i -> Tuple.get row i | Either.Right v -> v)
+      sources
+
 let pp_witness ppf w =
   Format.fprintf ppf "%s%a with sensitivity %a" w.relation Tuple.pp w.tuple
     Count.pp w.sensitivity

@@ -32,5 +32,16 @@ val result_of_per_relation :
     relation's domain is entirely insensitive). Ties across relations are
     broken in list order. *)
 
+val extender :
+  Database.t -> Tsens_query.Cq.t -> string -> Schema.t -> Tuple.t -> Tuple.t
+(** [extender db cq relation row_schema] extends a row over [row_schema]
+    (a subset of [relation]'s atom attributes) to a full tuple over the
+    atom schema. Attributes outside [row_schema] are lonely or unpinned,
+    so any value will do (paper Section 5.4): each takes the smallest
+    value [relation] holds in [db], or a fresh constant when the relation
+    is empty, so witnesses are deterministic. The fillers are found once,
+    in one pass over the relation per filled attribute, when the
+    extender is built. *)
+
 val pp_witness : Format.formatter -> witness -> unit
 val pp_result : Format.formatter -> result -> unit

@@ -3,14 +3,18 @@ open Tsens_query
 
 type selection = string -> Schema.t -> Tuple.t -> bool
 
-(* A multiplicity table is either materialized, or — when its parts join
-   as a pure cross product (path-query endpoints, star centres) — kept
-   factored: the entry at τ is factor × ∏ part counts at τ's projections.
-   Factoring is what keeps q1-style tables from materializing the whole
-   representative domain (|Orders| × |Customer| rows). *)
-type table =
-  | Dense of Relation.t
-  | Factored of { schema : Schema.t; parts : Relation.t list; factor : Count.t }
+(* A multiplicity table: the entry at τ is factor × ∏ part counts at
+   τ's projections. When the parts join as a pure cross product
+   (path-query endpoints, star centres) they are kept apart, which is
+   what keeps q1-style tables from materializing the whole
+   representative domain (|Orders| × |Customer| rows). Otherwise the
+   table has one part, the grouped join itself. *)
+type table = { schema : Schema.t; parts : Relation.t list; factor : Count.t }
+
+let factored table = List.compare_length_with table.parts 1 > 0
+
+let stored_rows table =
+  List.fold_left (fun acc p -> acc + Relation.distinct_count p) 0 table.parts
 
 type node_stat = {
   bag : string;
@@ -54,25 +58,16 @@ let shared_schema cq relation =
 (* ------------------------------------------------------------------ *)
 (* Table representation operations *)
 
-let table_schema = function
-  | Dense r -> Relation.schema r
-  | Factored f -> f.schema
-
 (* Entry lookup from a tuple over the relation's full atom schema. *)
 let table_entry atom_schema table tuple =
-  match table with
-  | Dense r ->
-      let positions = Schema.positions ~sub:(Relation.schema r) atom_schema in
-      Relation.count_of (Tuple.project positions tuple) r
-  | Factored { parts; factor; _ } ->
-      List.fold_left
-        (fun acc part ->
-          let positions =
-            Schema.positions ~sub:(Relation.schema part) atom_schema
-          in
-          Count.mul_tracked acc
-            (Relation.count_of (Tuple.project positions tuple) part))
-        factor parts
+  List.fold_left
+    (fun acc part ->
+      let positions =
+        Schema.positions ~sub:(Relation.schema part) atom_schema
+      in
+      Count.mul_tracked acc
+        (Relation.count_of (Tuple.project positions tuple) part))
+    table.factor table.parts
 
 (* Heaviest first, ties broken by the smallest tuple. *)
 let heavier (t1, c1) (t2, c2) =
@@ -133,125 +128,102 @@ let top_rows ?(order = heavier) k rows =
   end
 
 (* Entries of a table as a sequence, heaviest first (ties by tuple
-   order); with [~limit:k] only the first [k] are guaranteed. Dense
-   tables select their top rows; factored tables enumerate index
-   combinations best-first with a heap, never materializing the cross
-   product. A part's rows are ranked with ties in the table's column
-   order, so a combination that is nowhere further along the parts than
-   another also ranks no lower; that keeps the best-first order exact
-   (up to saturated counts, where unequal parts can multiply to equal
-   entries). Reaching index [j]
-   of a part takes [j] earlier pops along that part, so the first [k]
-   pops never look past a part's first [k] rows, and truncating each part
-   to them changes none of those pops. *)
-let table_rows_desc ?limit table =
-  let desc ?order p =
-    let rows = Relation.rows p in
-    top_rows ?order (Option.value limit ~default:(Array.length rows)) rows
-  in
-  match table with
-  | Dense r -> Array.to_seq (desc r)
-  | Factored { schema; parts; factor } ->
-      if Count.equal factor Count.zero then Seq.empty
-      else
-        let part_rows =
-          List.map (fun p -> desc ~order:(heavier_within schema p) p) parts
+   order); with [~limit:k] only the first [k] are guaranteed. Index
+   combinations of the parts are enumerated best-first with a heap,
+   never materializing the cross product; on a one-part table the heap
+   holds one entry and the scan reads the part's top rows in order. A
+   part's rows are ranked with ties in the table's column order, so a
+   combination that is nowhere further along the parts than another
+   also ranks no lower; that keeps the best-first order exact (up to
+   saturated counts, where unequal parts can multiply to equal entries).
+   Reaching index [j] of a part takes [j] earlier pops along that part,
+   so the first [k] pops never look past a part's first [k] rows, and
+   truncating each part to them changes none of those pops. *)
+let table_rows_desc ?limit { schema; parts; factor } =
+  if Count.equal factor Count.zero then Seq.empty
+  else
+    let part_rows =
+      List.map
+        (fun p ->
+          let rows = Relation.rows p in
+          top_rows ~order:(heavier_within schema p)
+            (Option.value limit ~default:(Array.length rows))
+            rows)
+        parts
+    in
+    if List.exists (fun a -> Array.length a = 0) part_rows then Seq.empty
+    else begin
+      let part_rows = Array.of_list part_rows in
+      let k = Array.length part_rows in
+      (* A row is its parts' rows laid side by side, then permuted
+         into the table's column order. The parts cover the table's
+         schema, so every position exists. *)
+      let positions =
+        Schema.positions ~sub:schema
+          (List.fold_left
+             (fun acc p -> Schema.union acc (Relation.schema p))
+             Schema.empty parts)
+      in
+      let combo indices =
+        let row =
+          Tuple.project positions
+            (Array.concat
+               (List.init k (fun i -> fst part_rows.(i).(indices.(i)))))
         in
-        if List.exists (fun a -> Array.length a = 0) part_rows then Seq.empty
-        else begin
-          let part_rows = Array.of_list part_rows in
-          let k = Array.length part_rows in
-          (* A row is its parts' rows laid side by side, then permuted
-             into the table's column order. The parts cover the table's
-             schema, so every position exists. *)
-          let positions =
-            Schema.positions ~sub:schema
-              (List.fold_left
-                 (fun acc p -> Schema.union acc (Relation.schema p))
-                 Schema.empty parts)
-          in
-          let combo indices =
-            let row =
-              Tuple.project positions
-                (Array.concat
-                   (List.init k (fun i -> fst part_rows.(i).(indices.(i)))))
-            in
-            let count =
-              Array.to_list
-                (Array.mapi (fun i j -> snd part_rows.(i).(j)) indices)
-              |> List.fold_left Count.mul_tracked factor
-            in
-            (row, count)
-          in
-          let cmp (c1, t1, _) (c2, t2, _) =
-            (* max-heap: heaviest first, then smallest tuple *)
-            match Count.compare c1 c2 with
-            | 0 -> Tuple.compare t2 t1
-            | c -> c
-          in
-          let visited = Hashtbl.create 64 in
-          let push indices heap =
-            let key = Array.to_list indices in
-            if Hashtbl.mem visited key then heap
-            else begin
-              Hashtbl.add visited key ();
-              let row, count = combo indices in
-              Heap.insert (count, row, indices) heap
-            end
-          in
-          let initial = push (Array.make k 0) (Heap.empty ~cmp) in
-          let rec next heap () =
-            match Heap.pop heap with
-            | None -> Seq.Nil
-            | Some ((count, row, indices), heap) ->
-                (* successors: advance one coordinate *)
-                let heap = ref heap in
-                for i = 0 to k - 1 do
-                  if indices.(i) + 1 < Array.length part_rows.(i) then begin
-                    let succ = Array.copy indices in
-                    succ.(i) <- succ.(i) + 1;
-                    heap := push succ !heap
-                  end
-                done;
-                Seq.Cons ((row, count), next !heap)
-          in
-          next initial
-        end
-
-(* Heaviest entry, ties broken by the smallest tuple: the head of
-   [table_rows_desc], so the witness is always [top_sensitive]'s first
-   row. A dense table's rows are sorted, so its first maximum is the
-   smallest tied tuple. *)
-let table_best table =
-  match table with
-  | Dense r -> Relation.max_row r
-  | Factored _ -> (
-      match table_rows_desc ~limit:1 table () with
-      | Seq.Nil -> None
-      | Seq.Cons (best, _) -> Some best)
-
-let materialize_table table =
-  match table with
-  | Dense r -> r
-  | Factored { schema; parts; factor } ->
-      if Count.equal factor Count.zero then Relation.empty schema
-      else
-        let joined =
-          Join.join_project_all ~group:schema (unit_relation :: parts)
+        let count =
+          Array.to_list
+            (Array.mapi (fun i j -> snd part_rows.(i).(j)) indices)
+          |> List.fold_left Count.mul_tracked factor
         in
-        if Count.equal factor Count.one then joined
-        else Relation.scale factor joined
+        (row, count)
+      in
+      let cmp (c1, t1, _) (c2, t2, _) =
+        (* max-heap: heaviest first, then smallest tuple *)
+        match Count.compare c1 c2 with
+        | 0 -> Tuple.compare t2 t1
+        | c -> c
+      in
+      let push indices heap =
+        let row, count = combo indices in
+        Heap.insert (count, row, indices) heap
+      in
+      let rec next heap () =
+        match Heap.pop heap with
+        | None -> Seq.Nil
+        | Some ((count, row, indices), heap) ->
+            (* Successors advance one coordinate at or after the last
+               nonzero one, so a combination's only parent is itself
+               with that coordinate one lower: each is pushed once, by
+               a parent that ranks no lower. *)
+            let last = ref 0 in
+            Array.iteri (fun i j -> if j > 0 then last := i) indices;
+            let heap = ref heap in
+            for i = !last to k - 1 do
+              if indices.(i) + 1 < Array.length part_rows.(i) then begin
+                let succ = Array.copy indices in
+                succ.(i) <- succ.(i) + 1;
+                heap := push succ !heap
+              end
+            done;
+            Seq.Cons ((row, count), next !heap)
+      in
+      next (push (Array.make k 0) (Heap.empty ~cmp))
+    end
+
+let materialize_table { schema; parts; factor } =
+  if Count.equal factor Count.zero then Relation.empty schema
+  else
+    let joined =
+      match parts with
+      | [ part ] -> part
+      | parts -> Join.join_project_all ~group:schema (unit_relation :: parts)
+    in
+    if Count.equal factor Count.one then joined
+    else Relation.scale factor joined
 
 let scale_table factor table =
   if Count.equal factor Count.one then table
-  else
-    match table with
-    | Dense r ->
-        if Count.equal factor Count.zero then
-          Dense (Relation.empty (Relation.schema r))
-        else Dense (Relation.scale factor r)
-    | Factored f ->
-        Factored { f with factor = Count.mul_tracked f.factor factor }
+  else { table with factor = Count.mul_tracked table.factor factor }
 
 (* ------------------------------------------------------------------ *)
 (* The two-pass DP over one connected component's decomposition.
@@ -350,22 +322,14 @@ let run_component ?(skip = []) ghd db =
           in
           check Schema.empty parts
         in
-        let table =
-          if disjoint_cover && List.length parts >= 2 then
-            Factored { schema = group; parts; factor = Count.one }
-          else Dense (Join.join_project_all ~group parts)
+        let parts =
+          if disjoint_cover && List.length parts >= 2 then parts
+          else [ Join.join_project_all ~group parts ]
         in
+        let table = { schema = group; parts; factor = Count.one } in
         if Obs.enabled () then begin
-          match table with
-          | Factored { parts; _ } ->
-              Obs.tick c_factored;
-              Obs.add c_table_rows
-                (List.fold_left
-                   (fun acc p -> acc + Relation.distinct_count p)
-                   0 parts)
-          | Dense r ->
-              Obs.tick c_dense;
-              Obs.add c_table_rows (Relation.distinct_count r)
+          Obs.tick (if factored table then c_factored else c_dense);
+          Obs.add c_table_rows (stored_rows table)
         end;
         (relation, table))
       wanted
@@ -384,68 +348,25 @@ let run_component ?(skip = []) ghd db =
   in
   (tables, out_size, node_stats)
 
-(* ------------------------------------------------------------------ *)
-(* Witness extrapolation for attributes outside the multiplicity table:
-   lonely attributes take any value (paper Section 5.4) — the smallest
-   one in the base relation, so witnesses are deterministic. [extender]
-   finds each filler once, in one pass over the base relation, and
-   returns the function that extends one table row. *)
-
-let extender db cq relation row_schema =
-  let base = Database.find relation db in
-  let smallest attr =
-    let pos = Schema.index attr (Relation.schema base) in
-    Relation.fold
-      (fun tup _ best ->
-        let x = Tuple.get tup pos in
-        match best with
-        | Some b when Value.compare b x <= 0 -> best
-        | _ -> Some x)
-      base None
-    |> Option.value ~default:(Value.str "any")
-  in
-  let sources =
-    Schema.attrs (Cq.schema_of cq relation)
-    |> List.map (fun attr ->
-           match Schema.index_opt attr row_schema with
-           | Some i -> Either.Left i
-           | None -> Either.Right (smallest attr))
-    |> Array.of_list
-  in
-  fun row ->
-    Array.map
-      (function Either.Left i -> Tuple.get row i | Either.Right v -> v)
-      sources
-
-(* Best admissible entry of a multiplicity table: the heaviest one whose
-   extended tuple passes the selection (rows that fail have true
-   sensitivity 0). Without a selection the factored fast path applies;
-   with one we must scan entries in weight order, which requires a
-   materialized table. *)
-let best_of_table selection db cq relation table =
+(* The one ranked scan every ranked read of a table goes through: its
+   entries heaviest first, each extended to a full atom tuple, those
+   failing the selection dropped (their true sensitivity is 0). The witness is its
+   head and [top_sensitive] its first [n] rows. Only without a selection
+   is it known that [n] entries suffice. *)
+let ranked_scan selection db cq relation table n =
   let atom_schema = Cq.schema_of cq relation in
-  match selection with
-  | None ->
-      Option.map
-        (fun (row, count) ->
-          ( extender db cq relation (table_schema table) row,
-            atom_schema,
-            count ))
-        (table_best table)
-  | Some pred ->
-      let materialized = materialize_table table in
-      let extend = extender db cq relation (Relation.schema materialized) in
-      let rows = Array.copy (Relation.rows materialized) in
-      Array.sort
-        (fun (t1, c1) (t2, c2) ->
-          match Count.compare c2 c1 with 0 -> Tuple.compare t1 t2 | c -> c)
-        rows;
-      Array.to_seq rows
-      |> Seq.find_map (fun (row, count) ->
-             let full = extend row in
-             if pred relation atom_schema full then
-               Some (full, atom_schema, count)
-             else None)
+  let extend = Sens_types.extender db cq relation table.schema in
+  let admissible =
+    match selection with
+    | None -> fun _ -> true
+    | Some pred -> pred relation atom_schema
+  in
+  let limit = if Option.is_none selection then Some n else None in
+  table_rows_desc ?limit table
+  |> Seq.filter_map (fun (row, count) ->
+         let full = extend row in
+         if admissible full then Some (full, count) else None)
+  |> Seq.take n |> List.of_seq
 
 (* ------------------------------------------------------------------ *)
 
@@ -462,7 +383,7 @@ let apply_selection selection cq db =
   in
   Database.of_list filtered
 
-let analyze ?selection ?(skip = []) ?(plans = []) cq db =
+let analyze ?selection ?(skip = []) ?plans cq db =
   List.iter
     (fun r ->
       if not (Cq.mem_relation cq r) then
@@ -475,14 +396,7 @@ let analyze ?selection ?(skip = []) ?(plans = []) cq db =
   let runs =
     List.map
       (fun component ->
-        let plan =
-          match Yannakakis.find_plan plans component with
-          | Some g -> g
-          | None -> (
-              match Join_tree.of_cq component with
-              | Some jt -> Ghd.of_join_tree jt
-              | None -> Ghd.auto component)
-        in
+        let plan = Yannakakis.plan_for ?plans component in
         (component, run_component ~skip plan db))
       components
   in
@@ -515,7 +429,11 @@ let analyze ?selection ?(skip = []) ?(plans = []) cq db =
   let bests =
     List.map
       (fun (relation, table) ->
-        (relation, best_of_table selection db cq relation table))
+        ( relation,
+          match ranked_scan selection db cq relation table 1 with
+          | [] -> None
+          | (tuple, count) :: _ -> Some (tuple, Cq.schema_of cq relation, count)
+        ))
       tables
   in
   let res = Sens_types.result_of_per_relation bests in
@@ -586,22 +504,11 @@ let statistics a =
   let table_stats =
     List.map
       (fun (relation, table) ->
-        match table with
-        | Dense r ->
-            {
-              table_relation = relation;
-              factored = false;
-              table_rows = Relation.distinct_count r;
-            }
-        | Factored { parts; _ } ->
-            {
-              table_relation = relation;
-              factored = true;
-              table_rows =
-                List.fold_left
-                  (fun acc p -> acc + Relation.distinct_count p)
-                  0 parts;
-            })
+        {
+          table_relation = relation;
+          factored = factored table;
+          table_rows = stored_rows table;
+        })
       a.tables
   in
   (a.node_stats, table_stats)
@@ -630,25 +537,9 @@ let pp_statistics ppf a =
 let top_sensitive a relation n =
   if n < 0 then invalid_arg "Tsens.top_sensitive: negative count";
   Obs.span "tsens.top_sensitive" @@ fun () ->
-  let table = find_table a relation in
-  let atom_schema = Cq.schema_of a.query relation in
-  let extend = extender a.db a.query relation (table_schema table) in
-  let admissible full =
-    match a.selection with
-    | None -> true
-    | Some pred -> pred relation atom_schema full
-  in
-  (* A selection can reject rows, so only an unfiltered listing knows
-     that [n] rows suffice. *)
-  let limit = if Option.is_none a.selection then Some n else None in
-  table_rows_desc ?limit table
-  |> Seq.filter_map (fun (row, count) ->
-         let full = extend row in
-         if admissible full then Some (full, count) else None)
-  |> Seq.take n |> List.of_seq
+  ranked_scan a.selection a.db a.query relation (find_table a relation) n
 
 let instance_relation a relation = Database.find relation a.db
 
 let witness_tuple a relation row =
-  let table = find_table a relation in
-  extender a.db a.query relation (table_schema table) row
+  Sens_types.extender a.db a.query relation (find_table a relation).schema row

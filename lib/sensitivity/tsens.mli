@@ -38,8 +38,8 @@ val analyze :
   Database.t ->
   analysis
 (** Runs the DP. [plans] optionally fixes the decomposition of each
-    connected component (see {!Yannakakis.find_plan}); components without
-    a matching plan use the GYO join tree, or {!Ghd.auto} when cyclic.
+    connected component; {!Yannakakis.plan_for} picks it (the matching
+    plan, else the GYO join tree, else {!Ghd.auto}).
 
     [skip] names relations whose multiplicity table should not be
     computed — the paper's optimization for relations whose tuples have
@@ -70,11 +70,15 @@ val multiplicity_table : analysis -> string -> Relation.t
     already scaled across components. Raises {!Errors.Schema_error} for
     relations not in the query or skipped in this analysis.
 
-    Internally, tables whose constituent joins are pure cross products
-    (e.g. the interior relations of a path query) are kept factored;
-    {!local_sensitivity} and {!tuple_sensitivity} never expand them, but
-    this accessor materializes the full cross product — as large as the
-    relation's representative domain. *)
+    Internally a table is a list of parts and a factor: its entry at τ is
+    the factor times each part's count at τ's projection. A table whose
+    parts join as a pure cross product (e.g. an interior relation of a
+    path query) keeps them apart; any other table has one part, the
+    grouped join. Every other read of the analysis ({!result}'s witness,
+    {!top_sensitive}, {!tuple_sensitivity}) works on the parts and never
+    expands them, with or without a selection. Only this accessor
+    materializes the full cross product — as large as the relation's
+    representative domain. *)
 
 val shared_schema : Cq.t -> string -> Schema.t
 (** The attributes of an atom that occur in at least one other atom — the
@@ -98,10 +102,10 @@ type node_stat = {
 
 type table_stat = {
   table_relation : string;
-  factored : bool;  (** kept as a cross-product factorization *)
+  factored : bool;  (** more than one part: a cross-product factorization *)
   table_rows : int;
-      (** distinct entries stored: dense rows, or the sum of the factored
-          parts' rows (the materialized size would be their product) *)
+      (** distinct entries stored, summed over the parts (a factored
+          table's materialized size would be their product) *)
 }
 
 val statistics : analysis -> node_stat list * table_stat list
@@ -122,7 +126,8 @@ val top_sensitive : analysis -> string -> int -> (Tuple.t * Count.t) list
     (full atom tuples, lonely attributes extrapolated), heaviest first,
     ties by tuple order — the abstract's outlier-detection view. Factored
     tables are enumerated best-first without materializing; tuples
-    failing the analysis's selection are excluded. Raises like
+    failing the analysis's selection are excluded. {!result}'s witness
+    is the head of this ranking for its relation. Raises like
     {!multiplicity_table} for unknown/skipped relations,
     [Invalid_argument] if [n < 0]. *)
 

@@ -25,7 +25,7 @@ let count_ghd ghd db =
      relation whose single count is |Q(D)| (or it is empty). *)
   Relation.cardinality root_bot
 
-let find_plan plans component =
+let plan_for ?(plans = []) component =
   (* Same atom names with the same attribute sets: queries over the same
      tables but different variable bindings (qw vs the 4-cycle) must not
      steal each other's plans. *)
@@ -39,24 +39,17 @@ let find_plan plans component =
              (Cq.schema_of component r))
          (Cq.relation_names component)
   in
-  List.find_opt matches plans
+  match List.find_opt matches plans with
+  | Some g -> g
+  | None -> (
+      match Join_tree.of_cq component with
+      | Some jt -> Ghd.of_join_tree jt
+      | None -> Ghd.auto component)
 
-let plan_of_component component =
-  match Join_tree.of_cq component with
-  | Some jt -> Ghd.of_join_tree jt
-  | None -> Ghd.auto component
-
-let default_plans cq = List.map plan_of_component (Cq.components cq)
-
-let count ?(plans = []) cq db =
+let count ?plans cq db =
   List.fold_left
     (fun acc component ->
-      let plan =
-        match find_plan plans component with
-        | Some g -> g
-        | None -> plan_of_component component
-      in
-      Count.mul_tracked acc (count_ghd plan db))
+      Count.mul_tracked acc (count_ghd (plan_for ?plans component) db))
     Count.one (Cq.components cq)
 
 let output cq db =

@@ -12,19 +12,17 @@ open Tsens_query
 val count_ghd : Ghd.t -> Database.t -> Count.t
 (** Bag output size of a connected query via its decomposition. *)
 
+val plan_for : ?plans:Ghd.t list -> Cq.t -> Ghd.t
+(** The decomposition of one connected component: the plan in [plans]
+    with the component's atoms over the same attribute sets, else the
+    width-1 GHD of the GYO join tree when the component is acyclic, else
+    {!Ghd.auto}. Every algorithm that walks a decomposition picks it
+    here. *)
+
 val count : ?plans:Ghd.t list -> Cq.t -> Database.t -> Count.t
 (** Output size of an arbitrary full CQ: splits into connected
-    components, counts each (using the matching plan from [plans] when
-    given, else the GYO join tree, else {!Ghd.auto}), and multiplies.
-    Raises {!Errors.Schema_error} if a supplied plan does not match a
-    component. *)
-
-val default_plans : Cq.t -> Ghd.t list
-(** One decomposition per connected component: the width-1 GHD of the GYO
-    join tree when the component is acyclic, {!Ghd.auto} otherwise. *)
-
-val find_plan : Ghd.t list -> Cq.t -> Ghd.t option
-(** The plan whose atom set matches the component, if any. *)
+    components, counts each over its {!plan_for} decomposition, and
+    multiplies. *)
 
 val output : Cq.t -> Database.t -> Relation.t
 (** The materialized join (atoms folded in order). Exponential output —

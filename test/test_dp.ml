@@ -632,53 +632,6 @@ let test_tsens_dp_indistinguishability () =
     (worst <= epsilon +. 0.3)
 
 (* ------------------------------------------------------------------ *)
-(* Accountant *)
-
-let test_accountant () =
-  let acc = Accountant.create ~epsilon:1.0 in
-  Alcotest.(check (float 1e-9)) "fresh" 1.0 (Accountant.remaining acc);
-  Accountant.spend acc 0.4;
-  Alcotest.(check (float 1e-9)) "after spend" 0.6 (Accountant.remaining acc);
-  let x = Accountant.charge acc ~epsilon:0.6 (fun () -> 42) in
-  Alcotest.(check int) "charged computation runs" 42 x;
-  Alcotest.(check (float 1e-9)) "exhausted" 0.0 (Accountant.remaining acc);
-  Alcotest.(check bool) "over-spend refused" true
-    (match Accountant.spend acc 0.1 with
-    | exception Accountant.Budget_exhausted _ -> true
-    | _ -> false);
-  Alcotest.(check bool) "non-positive spend" true
-    (match Accountant.spend (Accountant.create ~epsilon:1.0) 0.0 with
-    | exception Invalid_argument _ -> true
-    | _ -> false);
-  (* Float rounding across many small spends is absorbed. *)
-  let acc = Accountant.create ~epsilon:1.0 in
-  for _ = 1 to 10 do
-    Accountant.spend acc 0.1
-  done;
-  Alcotest.(check bool) "ten tenths fit" true (Accountant.spent acc > 0.99)
-
-let test_accountant_with_mechanisms () =
-  (* Answer the same query twice under one budget; a third release is
-     refused. *)
-  let analysis = Tsens.analyze fig3_cq fig3_db in
-  let acc = Accountant.create ~epsilon:2.0 in
-  let rng = Prng.create 55 in
-  let release () =
-    Accountant.charge acc ~epsilon:1.0 (fun () ->
-        Mechanism.run_with_analysis rng
-          { (Mechanism.default_config ~ell:20 ~private_relation:"R2") with
-            Mechanism.epsilon = 1.0 }
-          analysis)
-  in
-  let r1 = release () and r2 = release () in
-  Alcotest.(check bool) "two releases differ" true
-    (r1.Report.noisy_answer <> r2.Report.noisy_answer);
-  Alcotest.(check bool) "third refused" true
-    (match release () with
-    | exception Accountant.Budget_exhausted _ -> true
-    | _ -> false)
-
-(* ------------------------------------------------------------------ *)
 (* Metrics *)
 
 let test_metrics_median_mean () =
@@ -742,12 +695,6 @@ let () =
             test_privsql_cascade_truncates;
           Alcotest.test_case "cascade validation" `Quick
             test_privsql_cascade_validation;
-        ] );
-      ( "accountant",
-        [
-          Alcotest.test_case "budget arithmetic" `Quick test_accountant;
-          Alcotest.test_case "with mechanisms" `Quick
-            test_accountant_with_mechanisms;
         ] );
       ("metrics", [ Alcotest.test_case "median/mean" `Quick test_metrics_median_mean ]);
       ( "saturation",

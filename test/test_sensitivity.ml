@@ -486,33 +486,35 @@ let prop_selection_never_increases =
       filtered.Sens_types.local_sensitivity
       <= plain.Sens_types.local_sensitivity)
 
+(* Random constraints on *shared* attributes of the instances [gen]
+   draws. (Constraints on lonely attributes can make the DP's witness
+   search conservative — see the Tsens documentation.) *)
+let with_constraints gen =
+  QCheck2.Gen.(
+    gen >>= fun (cq, db) ->
+    match Cq.shared_vars cq with
+    | [] -> return (cq, db, []) (* single-atom shape: nothing to constrain *)
+    | shared ->
+    let attr_gen = oneofl shared in
+    let op_gen =
+      oneofl
+        Tsens_query.Constraints.[ Eq; Neq; Lt; Le; Gt; Ge ]
+    in
+    list_size (int_range 1 2)
+      (attr_gen >>= fun var ->
+       op_gen >>= fun op ->
+       int_range 0 3 >>= fun n ->
+       return { Constraints.var; op; value = Value.int n })
+    >>= fun cs -> return (cq, db, cs))
+
+let print_constrained (cq, db, cs) =
+  Format.asprintf "%a@.%a@.where %a" Cq.pp cq Database.pp db
+    Constraints.pp_list cs
+
 let prop_selection_matches_naive =
-  (* Random constraints on *shared* attributes of random instances: the
-     DP with selection must agree with the selection-aware oracle.
-     (Constraints on lonely attributes can make the DP's witness search
-     conservative — see the Tsens documentation.) *)
-  let gen =
-    QCheck2.Gen.(
-      instance_gen >>= fun (cq, db) ->
-      match Cq.shared_vars cq with
-      | [] -> return (cq, db, []) (* single-atom shape: nothing to constrain *)
-      | shared ->
-      let attr_gen = oneofl shared in
-      let op_gen =
-        oneofl
-          Tsens_query.Constraints.[ Eq; Neq; Lt; Le; Gt; Ge ]
-      in
-      list_size (int_range 1 2)
-        (attr_gen >>= fun var ->
-         op_gen >>= fun op ->
-         int_range 0 3 >>= fun n ->
-         return { Constraints.var; op; value = Value.int n })
-      >>= fun cs -> return (cq, db, cs))
-  in
-  Tgen.qtest ~count:100 "selection: TSens = naive oracle" gen
-    (fun (cq, db, cs) ->
-      Format.asprintf "%a@.%a@.where %a" Cq.pp cq Database.pp db
-        Constraints.pp_list cs)
+  (* The DP with selection must agree with the selection-aware oracle. *)
+  Tgen.qtest ~count:100 "selection: TSens = naive oracle"
+    (with_constraints instance_gen) print_constrained
     (fun (cq, db, cs) ->
       match Constraints.selection cs with
       | None -> true
@@ -724,11 +726,11 @@ let test_lonely_attribute_filler () =
    is [top_sensitive]'s first row: the heaviest entry, ties broken by
    the smallest tuple in the table's column order — on factored tables
    whose parts list their columns out of that order too. *)
-let witness_is_top_row (cq, db) =
+let witness_is_top_row ?selection (cq, db) =
   List.for_all
     (fun r ->
       let skip = List.filter (fun o -> not (String.equal o r)) (Cq.relation_names cq) in
-      let a = Tsens.analyze ~skip cq db in
+      let a = Tsens.analyze ?selection ~skip cq db in
       match ((Tsens.result a).Sens_types.witness, Tsens.top_sensitive a r 1) with
       | None, [] -> true
       | Some w, [ (tuple, count) ] ->
@@ -738,10 +740,22 @@ let witness_is_top_row (cq, db) =
       | _ -> false)
     (Cq.relation_names cq)
 
+let witness_instance_gen =
+  QCheck2.Gen.(oneof [ instance_gen; instance_of parts_cq ])
+
 let prop_witness_is_top_row =
-  Tgen.qtest ~count:200 "witness = head of top_sensitive"
-    QCheck2.Gen.(oneof [ instance_gen; instance_of parts_cq ])
+  Tgen.qtest ~count:200 "witness = head of top_sensitive" witness_instance_gen
     print_instance witness_is_top_row
+
+(* Rows failing the selection drop out of the ranking, and the witness
+   is still the first row that survives. *)
+let prop_selected_witness_is_top_row =
+  Tgen.qtest ~count:200 "selection: witness = head of top_sensitive"
+    (with_constraints witness_instance_gen) print_constrained
+    (fun (cq, db, cs) ->
+      match Constraints.selection cs with
+      | None -> true
+      | Some selection -> witness_is_top_row ~selection (cq, db))
 
 let test_statistics_fig3 () =
   let a = Tsens.analyze fig3_cq fig3_db in
@@ -819,46 +833,86 @@ let traced f =
       let outcome = try Ok (f ()) with e -> Error e in
       (outcome, Obs.Report.capture ()))
 
-let test_factored_table_saturation () =
-  (* R2's table is factored (⊥ from R1 on B times ⊥ from R3 on C); its
-     one entry, (max_count/2+1) · 2, saturates though |Q(D)| = 0. *)
-  let cq =
-    Cq.make
-      [ ("R1", [ "A"; "B" ]); ("R2", [ "B"; "C" ]); ("R3", [ "C"; "D" ]) ]
-  in
+(* A traced run's outcome and the total of one counter or gauge. *)
+let traced_total name totals f =
+  let outcome, report = traced f in
+  ( Result.get_ok outcome,
+    List.fold_left
+      (fun acc t ->
+        if String.equal t.Obs.Report.name name then acc + t.Obs.Report.total
+        else acc)
+      0 (totals report) )
+
+let saturations f =
+  traced_total "count.saturations" (fun r -> r.Obs.Report.counters) f
+
+let path3_cq =
+  Cq.make [ ("R1", [ "A"; "B" ]); ("R2", [ "B"; "C" ]); ("R3", [ "C"; "D" ]) ]
+
+(* R2's table is factored (⊥ from R1 on B times ⊥ from R3 on C); its one
+   entry, (max_count/2+1) · 2, saturates though |Q(D)| = 0. *)
+let saturating_path_db =
   let rel attrs rows = Relation.create ~schema:(schema attrs) rows in
   let half = (Count.max_count / 2) + 1 in
-  let db =
-    Database.of_list
-      [
-        ("R1", rel [ "A"; "B" ] [ (tup [ v 1; v 1 ], half) ]);
-        ("R2", rel [ "B"; "C" ] [ (tup [ v 9; v 9 ], 1) ]);
-        ("R3", rel [ "C"; "D" ] [ (tup [ v 2; v 2 ], 2) ]);
-      ]
-  in
-  let saturations (outcome, report) =
-    let ticks =
-      List.fold_left
-        (fun acc t ->
-          if String.equal t.Obs.Report.name "count.saturations" then
-            acc + t.Obs.Report.total
-          else acc)
-        0 report.Obs.Report.counters
-    in
-    (Result.get_ok outcome, ticks)
-  in
-  let a, ticks = saturations (traced (fun () -> Tsens.analyze cq db)) in
+  Database.of_list
+    [
+      ("R1", rel [ "A"; "B" ] [ (tup [ v 1; v 1 ], half) ]);
+      ("R2", rel [ "B"; "C" ] [ (tup [ v 9; v 9 ], 1) ]);
+      ("R3", rel [ "C"; "D" ] [ (tup [ v 2; v 2 ], 2) ]);
+    ]
+
+let test_factored_table_saturation () =
+  let cq = path3_cq and db = saturating_path_db in
+  let a, ticks = saturations (fun () -> Tsens.analyze cq db) in
   Alcotest.(check bool) "LS saturated" true
     (Count.is_saturated (Tsens.result a).Sens_types.local_sensitivity);
   Alcotest.(check int) "|Q(D)|" 0 (Tsens.output_size a);
   Alcotest.(check bool) "analyze ticks count.saturations" true (ticks >= 1);
   (* A lookup multiplies the parts again. *)
   let delta, ticks =
-    saturations
-      (traced (fun () -> Tsens.tuple_sensitivity a "R2" (tup [ v 1; v 2 ])))
+    saturations (fun () -> Tsens.tuple_sensitivity a "R2" (tup [ v 1; v 2 ]))
   in
   Alcotest.(check bool) "entry saturated" true (Count.is_saturated delta);
   Alcotest.(check bool) "lookup ticks count.saturations" true (ticks >= 1)
+
+(* Algorithm 1 multiplies the same two sides for R2's witness. *)
+let test_path_witness_saturation () =
+  let r, ticks =
+    saturations (fun () ->
+        Path_sens.local_sensitivity path3_cq saturating_path_db)
+  in
+  Alcotest.(check bool) "LS saturated" true
+    (Count.is_saturated r.Sens_types.local_sensitivity);
+  Alcotest.(check bool) "ticks count.saturations" true (ticks >= 1)
+
+(* R1 and R3 each hold n join values and R2 one row, so R2's table is
+   factored over n × n entries. An accept-all selection must read it
+   through the same ranked scan as no selection: the same LS, and no
+   group table larger than a part. *)
+let test_selection_keeps_table_factored () =
+  let n = 300 in
+  let rel attrs rows = Relation.of_rows ~schema:(schema attrs) rows in
+  let side attrs = rel attrs (List.init n (fun i -> [ v i; v i ])) in
+  let db =
+    Database.of_list
+      [
+        ("R1", side [ "A"; "B" ]);
+        ("R2", rel [ "B"; "C" ] [ [ v 0; v 0 ] ]);
+        ("R3", side [ "C"; "D" ]);
+      ]
+  in
+  let plain = Tsens.local_sensitivity path3_cq db in
+  let selected, max_group =
+    traced_total "join.max_group_table_rows"
+      (fun r -> r.Obs.Report.gauges)
+      (fun () ->
+        Tsens.local_sensitivity ~selection:(fun _ _ _ -> true) path3_cq db)
+  in
+  Alcotest.(check int) "LS" plain.Sens_types.local_sensitivity
+    selected.Sens_types.local_sensitivity;
+  Alcotest.(check bool)
+    (Printf.sprintf "largest group table %d <= %d" max_group n)
+    true (max_group <= n)
 
 (* ------------------------------------------------------------------ *)
 (* Naive-specific behaviour *)
@@ -955,6 +1009,7 @@ let () =
             test_top_sensitive_fig3;
           prop_top_sensitive_matches_table;
           prop_witness_is_top_row;
+          prop_selected_witness_is_top_row;
           Alcotest.test_case "top sensitive part order" `Quick
             test_top_sensitive_part_order;
           Alcotest.test_case "statistics fig3" `Quick test_statistics_fig3;
@@ -962,6 +1017,10 @@ let () =
             test_lonely_attribute_filler;
           Alcotest.test_case "factored table saturation" `Quick
             test_factored_table_saturation;
+          Alcotest.test_case "path witness saturation" `Quick
+            test_path_witness_saturation;
+          Alcotest.test_case "selection keeps table factored" `Quick
+            test_selection_keeps_table_factored;
         ] );
       ( "approx",
         [
