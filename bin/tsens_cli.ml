@@ -369,14 +369,14 @@ let classify_cmd =
 let algorithm_arg =
   Arg.(
     value
-    & opt (enum [ ("tsens", `Tsens); ("path", `Path); ("elastic", `Elastic);
+    & opt (enum [ ("tsens", `Tsens); ("elastic", `Elastic);
                   ("naive", `Naive); ("topk", `Topk) ])
         `Tsens
     & info [ "a"; "algorithm" ] ~docv:"ALGO"
         ~doc:
-          "One of tsens (default), path (Algorithm 1, path queries only), \
-           elastic (the Flex upper bound), naive (exhaustive oracle, small \
-           data only), topk (the top-k upper bound).")
+          "One of tsens (default; on path queries it is the paper's \
+           Algorithm 1), elastic (the Flex upper bound), naive (exhaustive \
+           oracle, small data only), topk (the top-k upper bound).")
 
 let k_arg =
   Arg.(
@@ -411,9 +411,6 @@ let run_sensitivity query data algorithm k tables explain sql stats trace =
       let result =
         match algorithm with
         | `Tsens -> Tsens.result (Lazy.force analysis)
-        | `Path ->
-            need_selection_support "path";
-            Path_sens.local_sensitivity cq db
         | `Elastic ->
             need_selection_support "elastic";
             Elastic.local_sensitivity cq db

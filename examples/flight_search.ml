@@ -6,8 +6,8 @@
    dest); the count is the number of bookable combinations. The *upward*
    tuple sensitivity of a hypothetical flight is exactly how many new
    itineraries it would unlock, and the most sensitive tuple is the best
-   flight to add — computed here with Algorithm 1 (and cross-checked
-   against the join-tree DP).
+   flight to add — computed here with TSens, whose join tree on a path
+   query is a chain: the paper's Algorithm 1.
 
    Run with: dune exec examples/flight_search.exe *)
 
@@ -60,8 +60,9 @@ let () =
   let itineraries = Yannakakis.count query database in
   Format.printf "bookable 3-leg itineraries today: %a@.@." Count.pp itineraries;
 
-  (* Algorithm 1: the path-query specialization. *)
-  let result = Path_sens.local_sensitivity query database in
+  (* One DP run answers the witness, the per-leg view and the what-ifs. *)
+  let analysis = Tsens.analyze query database in
+  let result = Tsens.result analysis in
   (match result.Sens_types.witness with
   | Some w ->
       Format.printf
@@ -77,14 +78,8 @@ let () =
     (fun (leg, c) -> Format.printf "  %s: %a@." leg Count.pp c)
     result.Sens_types.per_relation;
 
-  (* The generic join-tree DP agrees with the linear-time algorithm. *)
-  let tsens = Tsens.local_sensitivity query database in
-  assert (
-    tsens.Sens_types.local_sensitivity = result.Sens_types.local_sensitivity);
-
   (* What-if: which hypothetical Paris departure would matter most? The
      multiplicity table answers point queries over the whole domain. *)
-  let analysis = Tsens.analyze query database in
   Format.printf "@.what-if sensitivities for new Paris departures:@.";
   List.iter
     (fun dst ->

@@ -214,8 +214,9 @@ let shape_checks ~span_of ~whole cq =
     match shape with
     | Classify.Path order ->
         Format.sprintf
-          "shape: path (%s); predicted algorithm: Path_sens (Algorithm 1), \
-           O(n log n)"
+          "shape: path (%s); predicted algorithm: TSens (Algorithm 2) over \
+           the chain join tree, tables factored, O(n log n) — the paper's \
+           Algorithm 1"
           (String.concat " - " order)
     | Classify.Doubly_acyclic ->
         "shape: doubly acyclic; predicted algorithm: TSens (Algorithm 2) \

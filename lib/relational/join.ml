@@ -206,16 +206,3 @@ let semijoin a b =
     (fun _schema tup ->
       Index.group_count idx (Tuple.project positions tup) > 0)
     a
-
-let count_join a b =
-  Obs.span "join.count" @@ fun () ->
-  let total = ref Count.zero in
-  let plan = make_plan (Relation.schema a) (Relation.schema b) in
-  let idx = build_right_index plan b in
-  Relation.iter
-    (fun ltup lcnt ->
-      let key = Tuple.project plan.common_left ltup in
-      let group = Index.group_count idx key in
-      total := Count.add_tracked !total (Count.mul_tracked lcnt group))
-    a;
-  !total

@@ -32,7 +32,3 @@ val join_project_all : group:Schema.t -> Relation.t list -> Relation.t
 val semijoin : Relation.t -> Relation.t -> Relation.t
 (** [semijoin a b] keeps the rows of [a] whose common-attribute projection
     matches at least one row of [b]; multiplicities of [a] are kept. *)
-
-val count_join : Relation.t -> Relation.t -> Count.t
-(** Bag cardinality of the natural join, computed without materializing
-    output tuples. *)

@@ -85,8 +85,6 @@ let max_frequency_memo cq db =
   in
   mf
 
-let max_frequency cq db plan attrs = max_frequency_memo cq db plan attrs
-
 let relation_sensitivity_with mf cq plan target =
   let rec sens plan =
     match plan with

@@ -20,21 +20,11 @@ open Tsens_query
 
 type plan = Leaf of string | Join of plan * plan
 
-val plan_of_ghd : Ghd.t -> plan
-(** Left-deep plan folding the bags in post-order of the bag tree, and
-    each bag's members in declaration order. *)
-
 val plan_of_cq : ?plans:Ghd.t list -> Cq.t -> plan
 (** Plans each connected component (via the matching decomposition in
     [plans], else the default one) and chains the components with cross
-    products. *)
-
-val plan_atoms : plan -> string list
-
-val max_frequency : Cq.t -> Database.t -> plan -> Schema.t -> Count.t
-(** [max_frequency cq db plan attrs]: static upper bound on the number of
-    tuples of the plan's output agreeing on any fixed values of [attrs]
-    (with [attrs] empty: a bound on the plan's output size). *)
+    products. A component's plan is left-deep: its bags in post-order of
+    the bag tree, each bag's members in declaration order. *)
 
 val relation_sensitivity : Cq.t -> Database.t -> plan -> string -> Count.t
 (** Elastic sensitivity of the query treating the given relation as the

@@ -9,9 +9,6 @@
 open Tsens_relational
 open Tsens_query
 
-val count_ghd : Ghd.t -> Database.t -> Count.t
-(** Bag output size of a connected query via its decomposition. *)
-
 val plan_for : ?plans:Ghd.t list -> Cq.t -> Ghd.t
 (** The decomposition of one connected component: the plan in [plans]
     with the component's atoms over the same attribute sets, else the

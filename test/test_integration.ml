@@ -24,11 +24,8 @@ let test_parsed_query_pipeline () =
   let result = Tsens.result analysis in
   Alcotest.(check bool) "LS positive" true
     (result.Sens_types.local_sensitivity > 0);
-  (* The same query through Algorithm 1 and the elastic bound. *)
-  let path = Path_sens.local_sensitivity cq db in
-  Alcotest.(check int)
-    "path agrees" result.Sens_types.local_sensitivity
-    path.Sens_types.local_sensitivity;
+  (* The witness against the point oracle, and the elastic bound. *)
+  Tgen.check_witness_attains_ls cq db result;
   let elastic = Elastic.local_sensitivity cq db in
   Alcotest.(check bool) "elastic dominates" true
     (elastic.Sens_types.local_sensitivity

@@ -439,11 +439,6 @@ let prop_join_project_consistent =
       let naive = Relation.project group (Join.natural_join a b) in
       Relation.equal fused naive)
 
-let prop_count_join_consistent =
-  Tgen.qtest "count_join = |natural_join|" Tgen.joinable_pair_gen
-    Tgen.print_relation_pair (fun (a, b) ->
-      Join.count_join a b = Relation.cardinality (Join.natural_join a b))
-
 let prop_join_commutes_on_counts =
   Tgen.qtest "join cardinality commutes" Tgen.joinable_pair_gen
     Tgen.print_relation_pair (fun (a, b) ->
@@ -590,13 +585,6 @@ let natural_join_equals_reference ((a, b), _) =
       Relation.equal (Join.natural_join a b) (ref_natural_join a b))
     (a, b)
 
-let count_join_equals_reference ((a, b), _) =
-  on_emptied_sides
-    (fun (a, b) ->
-      Count.equal (Join.count_join a b)
-        (Relation.cardinality (ref_natural_join a b)))
-    (a, b)
-
 let semijoin_equals_reference ((a, b), _) =
   on_emptied_sides
     (fun (a, b) -> Relation.equal (Join.semijoin a b) (ref_semijoin a b))
@@ -707,10 +695,6 @@ let prop_natural_join_equals_reference =
   operator_qtest "natural_join = nested-loop reference"
     natural_join_equals_reference
 
-let prop_count_join_equals_reference =
-  operator_qtest "count_join = nested-loop reference"
-    count_join_equals_reference
-
 let prop_semijoin_equals_reference =
   operator_qtest "semijoin = nested-loop reference" semijoin_equals_reference
 
@@ -733,9 +717,8 @@ let prop_index_equals_reference =
    max_count from finite products or counts — in a join, a projection,
    a relation's construction or a point insert — a product that
    saturates on emission, a scaled relation, a truncation profile, a
-   count_join product, a bag cardinality and a product of component
-   sizes (Yannakakis, TSens and the top-k approximation) all tick
-   count.saturations. *)
+   bag cardinality and a product of component sizes (Yannakakis, TSens
+   and the top-k approximation) all tick count.saturations. *)
 let test_kernel_saturation_ticks () =
   let saturations f =
     Obs.reset ();
@@ -851,10 +834,6 @@ let test_kernel_saturation_ticks () =
   let single name rows =
     (name, Relation.create ~schema:(schema [ name ]) rows)
   in
-  check_count "count_join product" (fun () ->
-      Join.count_join
-        (Relation.create ~schema:(schema [ "A" ]) [ (tup [ v 1 ], half) ])
-        (Relation.create ~schema:(schema [ "A" ]) [ (tup [ v 1 ], 2) ]));
   let two_halves =
     Relation.create ~schema:(schema [ "A" ])
       [ (tup [ v 1 ], half); (tup [ v 2 ], half) ]
@@ -1281,13 +1260,11 @@ let () =
           Alcotest.test_case "cross product" `Quick test_join_cross_product;
           Alcotest.test_case "semijoin" `Quick test_semijoin;
           prop_join_project_consistent;
-          prop_count_join_consistent;
           prop_join_commutes_on_counts;
           prop_join_project_all_consistent;
           prop_semijoin_no_growth;
           prop_fast_equals_reference;
           prop_natural_join_equals_reference;
-          prop_count_join_equals_reference;
           prop_semijoin_equals_reference;
           prop_join_project_equals_reference;
           prop_full_schema_join_project_equals_reference;

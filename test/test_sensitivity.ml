@@ -1,6 +1,6 @@
 (* Tests for the sensitivity core: the paper's worked examples as exact
    fixtures, plus differential testing of TSens against the naive
-   Theorem-3.1 oracle, Algorithm 1, and the elastic baseline. *)
+   Theorem-3.1 oracle and the elastic baseline. *)
 
 open Tsens_relational
 open Tsens_query
@@ -175,6 +175,7 @@ let test_fig3_results () =
   let r = Tsens.result a in
   Alcotest.(check int) "LS" 21 r.Sens_types.local_sensitivity;
   Alcotest.(check int) "|Q(D)|" 46 (Tsens.output_size a);
+  Alcotest.(check int) "Yannakakis count" 46 (Yannakakis.count fig3_cq fig3_db);
   Alcotest.check per_relation_testable "per relation"
     [ ("R1", 12); ("R2", 18); ("R3", 21); ("R4", 15) ]
     r.Sens_types.per_relation;
@@ -185,16 +186,6 @@ let test_fig3_results () =
       Alcotest.check Tgen.tuple_testable "witness (c1,d1)"
         (tup [ s "c1"; s "d1" ])
         w.Sens_types.tuple
-
-let test_fig3_path_algorithm () =
-  let path = Path_sens.local_sensitivity fig3_cq fig3_db in
-  let tsens = Tsens.local_sensitivity fig3_cq fig3_db in
-  Alcotest.(check int)
-    "LS agrees" tsens.Sens_types.local_sensitivity
-    path.Sens_types.local_sensitivity;
-  Alcotest.check per_relation_testable "per relation agrees"
-    tsens.Sens_types.per_relation path.Sens_types.per_relation;
-  Alcotest.(check int) "Yannakakis count" 46 (Yannakakis.count fig3_cq fig3_db)
 
 let test_example_4_1 () =
   (* Example 4.1's instance: removing R2(b1,c1) removes all 4 output
@@ -316,8 +307,6 @@ let test_single_atom () =
   Alcotest.(check int) "LS is 1" 1 r.Sens_types.local_sensitivity;
   let naive = Naive.local_sensitivity cq db in
   Alcotest.(check int) "naive agrees" 1 naive.Sens_types.local_sensitivity;
-  let path = Path_sens.local_sensitivity cq db in
-  Alcotest.(check int) "path agrees" 1 path.Sens_types.local_sensitivity;
   (* Even on an empty relation: inserting any tuple adds one output row. *)
   let empty_db =
     Database.of_list [ ("R", Relation.empty (schema [ "A"; "B" ])) ]
@@ -438,17 +427,10 @@ let prop_witness_attains_ls =
             w.Sens_types.tuple
           = r.Sens_types.local_sensitivity)
 
-let prop_path_matches_tsens =
-  Tgen.qtest ~count:120 "Algorithm 1 = Algorithm 2 on paths" instance_gen
+let prop_path_tables_within_theorem_4_1 =
+  Tgen.qtest ~count:120 "path tables within Theorem 4.1 space" instance_gen
     print_instance (fun (cq, db) ->
-      match Classify.path_order cq with
-      | None -> true
-      | Some _ ->
-          let path = Path_sens.local_sensitivity cq db in
-          let tsens = Tsens.local_sensitivity cq db in
-          path.Sens_types.local_sensitivity
-          = tsens.Sens_types.local_sensitivity
-          && path.Sens_types.per_relation = tsens.Sens_types.per_relation)
+      Classify.path_order cq = None || Tgen.oversized_tables cq db = [])
 
 let prop_elastic_upper_bounds_tsens =
   Tgen.qtest ~count:120 "elastic >= TSens" instance_gen print_instance
@@ -875,16 +857,6 @@ let test_factored_table_saturation () =
   Alcotest.(check bool) "entry saturated" true (Count.is_saturated delta);
   Alcotest.(check bool) "lookup ticks count.saturations" true (ticks >= 1)
 
-(* Algorithm 1 multiplies the same two sides for R2's witness. *)
-let test_path_witness_saturation () =
-  let r, ticks =
-    saturations (fun () ->
-        Path_sens.local_sensitivity path3_cq saturating_path_db)
-  in
-  Alcotest.(check bool) "LS saturated" true
-    (Count.is_saturated r.Sens_types.local_sensitivity);
-  Alcotest.(check bool) "ticks count.saturations" true (ticks >= 1)
-
 (* R1 and R3 each hold n join values and R2 one row, so R2's table is
    factored over n × n entries. An accept-all selection must read it
    through the same ranked scan as no selection: the same LS, and no
@@ -974,7 +946,6 @@ let () =
         [
           Alcotest.test_case "T2 table" `Quick test_fig3_multiplicity_table;
           Alcotest.test_case "results" `Quick test_fig3_results;
-          Alcotest.test_case "path algorithm" `Quick test_fig3_path_algorithm;
           Alcotest.test_case "example 4.1" `Quick test_example_4_1;
         ] );
       ( "extensions",
@@ -989,7 +960,7 @@ let () =
         [
           prop_tsens_matches_naive;
           prop_witness_attains_ls;
-          prop_path_matches_tsens;
+          prop_path_tables_within_theorem_4_1;
           prop_elastic_upper_bounds_tsens;
           prop_yannakakis_count_exact;
           prop_output_size_byproduct;
@@ -1017,8 +988,6 @@ let () =
             test_lonely_attribute_filler;
           Alcotest.test_case "factored table saturation" `Quick
             test_factored_table_saturation;
-          Alcotest.test_case "path witness saturation" `Quick
-            test_path_witness_saturation;
           Alcotest.test_case "selection keeps table factored" `Quick
             test_selection_keeps_table_factored;
         ] );

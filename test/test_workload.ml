@@ -179,14 +179,12 @@ let test_facebook_databases_match_queries () =
     | exception Invalid_argument _ -> true
     | _ -> false)
 
-let test_facebook_qw_path_vs_tsens () =
-  (* On real(istic) skewed data the two algorithms agree exactly. *)
+let test_facebook_qw_witness () =
+  (* On skewed data TSens's witness is checked by re-evaluating qw. *)
   let db = Queries.facebook_database small_fb Queries.qw in
-  let path = Path_sens.local_sensitivity Queries.qw db in
   let tsens = Tsens.local_sensitivity Queries.qw db in
-  Alcotest.(check (list (pair string int)))
-    "per relation" path.Sens_types.per_relation tsens.Sens_types.per_relation;
-  Alcotest.(check bool) "positive" true (path.Sens_types.local_sensitivity > 0)
+  Alcotest.(check bool) "positive" true (tsens.Sens_types.local_sensitivity > 0);
+  Tgen.check_witness_attains_ls Queries.qw db tsens
 
 let test_facebook_q4_plans_agree () =
   let db = Queries.facebook_database small_fb Queries.q4 in
@@ -217,12 +215,18 @@ let test_facebook_small_naive_check () =
 (* ------------------------------------------------------------------ *)
 (* TPC-H end-to-end sensitivity sanity *)
 
-let test_q1_path_vs_tsens () =
+let test_q1_witness () =
   let db = Tpch.generate ~scale:tiny_scale () in
-  let path = Path_sens.local_sensitivity Queries.q1 db in
-  let tsens = Tsens.local_sensitivity Queries.q1 db in
+  Tgen.check_witness_attains_ls Queries.q1 db
+    (Tsens.local_sensitivity Queries.q1 db)
+
+(* q1 is a path query: Orders' table keeps ⊤(CK) and ⊥(OK) apart
+   instead of holding the Customer × Orders representative domain. *)
+let test_q1_theorem_4_1_space () =
+  let db = Tpch.generate ~scale:tiny_scale () in
   Alcotest.(check (list (pair string int)))
-    "per relation" path.Sens_types.per_relation tsens.Sens_types.per_relation
+    "tables over 1 + Σ distinct rows" []
+    (Tgen.oversized_tables Queries.q1 db)
 
 let test_q2_elastic_bounds () =
   let db = Tpch.generate ~scale:tiny_scale () in
@@ -348,7 +352,9 @@ let () =
           Alcotest.test_case "shapes" `Quick test_query_shapes;
           Alcotest.test_case "q3 ghd widths" `Quick test_q3_ghd_widths;
           Alcotest.test_case "q3 ghds agree" `Slow test_q3_ghds_agree;
-          Alcotest.test_case "q1 path vs tsens" `Quick test_q1_path_vs_tsens;
+          Alcotest.test_case "q1 witness = naive point" `Quick test_q1_witness;
+          Alcotest.test_case "q1 tables within Theorem 4.1 space" `Quick
+            test_q1_theorem_4_1_space;
           Alcotest.test_case "q2 elastic bound" `Quick test_q2_elastic_bounds;
         ] );
       ( "facebook",
@@ -361,8 +367,8 @@ let () =
             test_facebook_triangle_table;
           Alcotest.test_case "databases match queries" `Quick
             test_facebook_databases_match_queries;
-          Alcotest.test_case "qw path vs tsens" `Quick
-            test_facebook_qw_path_vs_tsens;
+          Alcotest.test_case "qw witness = naive point" `Quick
+            test_facebook_qw_witness;
           Alcotest.test_case "q4 plans agree" `Quick
             test_facebook_q4_plans_agree;
           Alcotest.test_case "tiny naive check" `Slow

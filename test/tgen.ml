@@ -1,6 +1,8 @@
-(* Shared QCheck generators and Alcotest testables for all suites. *)
+(* Shared QCheck generators, Alcotest testables and checks for all suites. *)
 
 open Tsens_relational
+open Tsens_query
+open Tsens_sensitivity
 
 let value_testable = Alcotest.testable Value.pp Value.equal
 let tuple_testable = Alcotest.testable Tuple.pp Tuple.equal
@@ -92,3 +94,32 @@ let print_relation_pair (a, b) =
 let qtest ?(count = 200) name gen print prop =
   QCheck_alcotest.to_alcotest
     (QCheck2.Test.make ~count ~name ~print gen prop)
+
+(* Theorem 4.1's space bound on a path query: each multiplicity table
+   stores at most 1 + Σ distinct rows of the instance, because an
+   interior table keeps ⊤ and ⊥ apart instead of holding its
+   representative domain. The tables over that bound, with their rows. *)
+let oversized_tables cq db =
+  let bound =
+    List.fold_left
+      (fun acc (_, r) -> acc + Relation.distinct_count r)
+      1 (Cq.instance cq db)
+  in
+  let _, tables = Tsens.statistics (Tsens.analyze cq db) in
+  List.filter_map
+    (fun t ->
+      if t.Tsens.table_rows > bound then
+        Some (t.Tsens.table_relation, t.Tsens.table_rows)
+      else None)
+    tables
+
+(* The independent point oracle on a result's witness: re-evaluating the
+   query with the witness added or removed moves |Q(D)| by exactly LS. *)
+let check_witness_attains_ls cq db r =
+  match r.Sens_types.witness with
+  | None -> Alcotest.fail "expected a witness"
+  | Some w ->
+      Alcotest.(check int)
+        "naive δ(witness) = LS" r.Sens_types.local_sensitivity
+        (Naive.tuple_sensitivity cq db w.Sens_types.relation
+           w.Sens_types.tuple)
