@@ -787,6 +787,33 @@ let test_approx_compresses () =
     ((Approx.local_sensitivity ~k:1 fig3_cq fig3_db).Sens_types
        .local_sensitivity >= 21)
 
+(* The ablation's seed-42 bounds and intermediate sizes, as
+   [bench topk] prints them: (k, LS bound, rows kept). *)
+let test_approx_pinned_ablation () =
+  let open Tsens_workload in
+  let check label cq db plans exact_rows pins =
+    List.iter
+      (fun (k, ls, kept) ->
+        let res = Approx.local_sensitivity ~k ~plans cq db in
+        let exact, compressed = Approx.intermediate_sizes ~k ~plans cq db in
+        let name = Printf.sprintf "%s k=%d" label k in
+        Alcotest.(check int) (name ^ " LS bound") ls
+          res.Sens_types.local_sensitivity;
+        Alcotest.(check (pair int int)) (name ^ " rows kept") (kept, exact_rows)
+          (compressed, exact))
+      pins
+  in
+  check "q1" Queries.q1
+    (Tpch.generate ~seed:42 ~scale:0.001 ())
+    Queries.tpch_plans 3361
+    [ (1, 8298, 9); (16, 3585, 107); (256, 2153, 873) ];
+  check "qw" Queries.qw
+    (Queries.facebook_database
+       (Facebook.generate Facebook.default_params)
+       Queries.qw)
+    Queries.facebook_plans 1314
+    [ (1, 234060, 7); (16, 99170, 97); (256, 39480, 1314) ]
+
 let test_approx_rejects_cyclic_and_bad_k () =
   Alcotest.(check bool) "cyclic raises" true
     (match
@@ -996,6 +1023,8 @@ let () =
           prop_approx_upper_bounds_tsens;
           prop_approx_exact_with_large_k;
           Alcotest.test_case "compresses" `Quick test_approx_compresses;
+          Alcotest.test_case "pinned ablation" `Quick
+            test_approx_pinned_ablation;
           Alcotest.test_case "rejects cyclic and bad k" `Quick
             test_approx_rejects_cyclic_and_bad_k;
         ] );
