@@ -9,22 +9,24 @@ let ks = [ 1; 4; 16; 64; 256 ]
 
 let run_one label cq db plans =
   let exact, exact_time =
-    Bench_util.time (fun () -> Tsens.local_sensitivity ~plans cq db)
+    Bench_util.time (fun () -> Tsens.analyze ~plans cq db)
   in
-  let exact_rows, _ = Approx.intermediate_sizes ~k:max_int ~plans cq db in
+  let exact_ls = (Tsens.result exact).Sens_types.local_sensitivity in
+  let exact_rows =
+    Approx.intermediate_rows cq (fst (Tsens.statistics exact))
+  in
   let rows =
     List.map
       (fun k ->
-        let bound, t =
-          Bench_util.time (fun () -> Approx.local_sensitivity ~k ~plans cq db)
+        let (bound, kept), t =
+          Bench_util.time (fun () -> Approx.analyze ~k ~plans cq db)
         in
-        let _, compressed = Approx.intermediate_sizes ~k ~plans cq db in
         [
           label;
           string_of_int k;
           Bench_util.count_to_string bound.Sens_types.local_sensitivity;
-          Bench_util.count_to_string exact.Sens_types.local_sensitivity;
-          Printf.sprintf "%d/%d" compressed exact_rows;
+          Bench_util.count_to_string exact_ls;
+          Printf.sprintf "%d/%d" kept exact_rows;
           Bench_util.seconds_to_string t;
         ])
       ks
@@ -33,8 +35,8 @@ let run_one label cq db plans =
     [
       label;
       "exact";
-      Bench_util.count_to_string exact.Sens_types.local_sensitivity;
-      Bench_util.count_to_string exact.Sens_types.local_sensitivity;
+      Bench_util.count_to_string exact_ls;
+      Bench_util.count_to_string exact_ls;
       Printf.sprintf "%d/%d" exact_rows exact_rows;
       Bench_util.seconds_to_string exact_time;
     ] )

@@ -146,4 +146,9 @@ let local_sensitivity ?selection ?(max_candidates = 100_000) cq db =
       best insertions
   in
   Sens_types.result_of_per_relation
-    (List.map (fun ((r, _) as d) -> (r, best_for d)) domains)
+    (List.map
+       (fun ((r, _) as d) ->
+         match best_for d with
+         | None -> (r, Count.zero, None)
+         | Some (tuple, schema, c) -> (r, c, Some (tuple, schema)))
+       domains)

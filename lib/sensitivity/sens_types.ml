@@ -14,27 +14,20 @@ type result = {
 }
 
 let result_of_per_relation bests =
-  let per_relation =
-    List.map
-      (fun (relation, best) ->
-        match best with
-        | None -> (relation, Count.zero)
-        | Some (_, _, c) -> (relation, c))
-      bests
-  in
+  let per_relation = List.map (fun (relation, c, _) -> (relation, c)) bests in
   let witness =
     List.fold_left
-      (fun acc (relation, best) ->
-        match best with
+      (fun acc (relation, sensitivity, row) ->
+        match row with
         | None -> acc
-        | Some (tuple, schema, sensitivity) -> (
+        | Some (tuple, schema) -> (
             match acc with
             | Some w when w.sensitivity >= sensitivity -> acc
             | _ -> Some { relation; schema; tuple; sensitivity }))
       None bests
   in
   let local_sensitivity =
-    match witness with None -> Count.zero | Some w -> w.sensitivity
+    List.fold_left (fun acc (_, c) -> Count.max acc c) Count.zero per_relation
   in
   { local_sensitivity; witness; per_relation }
 

@@ -27,10 +27,12 @@ type result = {
 }
 
 val result_of_per_relation :
-  (string * (Tuple.t * Schema.t * Count.t) option) list -> result
-(** Assembles a {!result} from per-relation best tuples ([None] when a
-    relation's domain is entirely insensitive). Ties across relations are
-    broken in list order. *)
+  (string * Count.t * (Tuple.t * Schema.t) option) list -> result
+(** Assembles a {!result} from each relation's maximum (or an upper
+    bound on it) and the row that carries it ([None] when no row does,
+    e.g. a domain that is entirely insensitive). The local sensitivity is
+    the largest maximum; the witness is the first row, in list order,
+    whose relation's maximum is largest among those with a row. *)
 
 val extender :
   Database.t -> Tsens_query.Cq.t -> string -> Schema.t -> Tuple.t -> Tuple.t

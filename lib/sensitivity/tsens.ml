@@ -8,8 +8,23 @@ type selection = string -> Schema.t -> Tuple.t -> bool
    (path-query endpoints, star centres) they are kept apart, which is
    what keeps q1-style tables from materializing the whole
    representative domain (|Orders| × |Customer| rows). Otherwise the
-   table has one part, the grouped join itself. *)
-type table = { schema : Schema.t; parts : Relation.t list; factor : Count.t }
+   table has one part, the grouped join itself. [tail] bounds, before
+   [factor], every entry that reads a part off its explicit rows; it is
+   0 unless the pass compressed a part (see [intermediate]). *)
+type table = {
+  schema : Schema.t;
+  parts : Relation.t list;
+  factor : Count.t;
+  tail : Count.t;
+}
+
+(* A botjoin or topjoin as the pass carries it: [rel]'s rows exactly,
+   every other key of its link domain bounded by [default]. TSens keeps
+   every row, so its defaults are 0; the top-k approximation cuts each
+   intermediate to its heaviest rows. *)
+type intermediate = { rel : Relation.t; default : Count.t }
+
+let exact rel = { rel; default = Count.zero }
 
 let factored table = List.compare_length_with table.parts 1 > 0
 
@@ -139,7 +154,7 @@ let top_rows ?(order = heavier) k rows =
    Reaching index [j] of a part takes [j] earlier pops along that part,
    so the first [k] pops never look past a part's first [k] rows, and
    truncating each part to them changes none of those pops. *)
-let table_rows_desc ?limit { schema; parts; factor } =
+let table_rows_desc ?limit { schema; parts; factor; _ } =
   if Count.equal factor Count.zero then Seq.empty
   else
     let part_rows =
@@ -210,7 +225,7 @@ let table_rows_desc ?limit { schema; parts; factor } =
       next (push (Array.make k 0) (Heap.empty ~cmp))
     end
 
-let materialize_table { schema; parts; factor } =
+let materialize_table { schema; parts; factor; _ } =
   if Count.equal factor Count.zero then Relation.empty schema
   else
     let joined =
@@ -225,11 +240,49 @@ let scale_table factor table =
   if Count.equal factor Count.one then table
   else { table with factor = Count.mul_tracked table.factor factor }
 
-(* ------------------------------------------------------------------ *)
-(* The two-pass DP over one connected component's decomposition.
-   Returns the per-relation multiplicity tables and |Q_c(D)|. *)
+(* An intermediate as the input of a join at a bag whose relation is
+   [anchor]: its explicit rows, and its default at every key of the
+   anchor it misses. Keys the anchor lacks cannot join, so they are
+   left out. A no-op at default 0. *)
+let complete anchor i =
+  if Count.equal i.default Count.zero then i.rel
+  else
+    let key_schema = Relation.schema i.rel in
+    Relation.fold
+      (fun key _ acc ->
+        let c = Relation.count_of key i.rel in
+        (key, if Count.equal c Count.zero then i.default else c) :: acc)
+      (Relation.project key_schema anchor)
+      []
+    |> Relation.create ~schema:key_schema
 
-let run_component ?(skip = []) ghd db =
+(* A bound on every entry of a table built from [inputs] that reads
+   some input off its explicit rows: that input's default times every
+   other input's largest count. 0 when no input was compressed. *)
+let tail_bound inputs =
+  if List.for_all (fun i -> Count.equal i.default Count.zero) inputs then
+    Count.zero
+  else
+    let cap i =
+      match Relation.max_row i.rel with
+      | Some (_, c) -> Count.max i.default c
+      | None -> i.default
+    in
+    let caps = List.map cap inputs in
+    List.mapi
+      (fun n i ->
+        List.filteri (fun m _ -> m <> n) caps
+        |> List.fold_left Count.mul_tracked i.default)
+      inputs
+    |> List.fold_left Count.max Count.zero
+
+(* ------------------------------------------------------------------ *)
+(* The two-pass DP over one connected component's decomposition, with
+   [step] applied to every botjoin and topjoin it computes. Returns the
+   per-relation multiplicity tables and |Q_c(D)|, an upper bound when
+   [step] drops rows. *)
+
+let run_component ~step ?(skip = []) ghd db =
   let cq = Ghd.cq ghd in
   let tree = Ghd.bag_tree ghd in
   let bag_rel =
@@ -254,16 +307,20 @@ let run_component ?(skip = []) ghd db =
       let bot =
         Obs.span "tsens.botjoin" @@ fun () ->
         let children = Join_tree.children tree v in
-        Join.join_project_all
-          ~group:(Join_tree.link_schema tree v)
-          (bag_rel v :: List.map (Hashtbl.find botjoins) children)
+        step
+          (Join.join_project_all
+             ~group:(Join_tree.link_schema tree v)
+             (bag_rel v
+             :: List.map
+                  (fun c -> complete (bag_rel v) (Hashtbl.find botjoins c))
+                  children))
       in
       Hashtbl.replace botjoins v bot;
       Hashtbl.replace bot_seconds v (Obs.now_seconds () -. t0);
-      Obs.add c_bot_rows (Relation.distinct_count bot))
+      Obs.add c_bot_rows (Relation.distinct_count bot.rel))
     (Join_tree.post_order tree);
   let out_size =
-    Relation.cardinality (Hashtbl.find botjoins (Join_tree.root tree))
+    Relation.cardinality (Hashtbl.find botjoins (Join_tree.root tree)).rel
   in
   (* Top-down topjoins: ⊤(root) = unit;
      ⊤(v) = γ_link(v) (B_p ⋈ ⊤(p) ⋈ {⊥(s) : s sibling of v}). *)
@@ -273,19 +330,23 @@ let run_component ?(skip = []) ghd db =
     (fun v ->
       let t0 = Obs.now_seconds () in
       (match Join_tree.parent tree v with
-      | None -> Hashtbl.replace topjoins v unit_relation
+      | None -> Hashtbl.replace topjoins v (exact unit_relation)
       | Some p ->
           let top =
             Obs.span "tsens.topjoin" @@ fun () ->
             let siblings = Join_tree.siblings tree v in
-            Join.join_project_all
-              ~group:(Join_tree.link_schema tree v)
-              (bag_rel p :: Hashtbl.find topjoins p
-              :: List.map (Hashtbl.find botjoins) siblings)
+            step
+              (Join.join_project_all
+                 ~group:(Join_tree.link_schema tree v)
+                 (bag_rel p
+                 :: List.map (complete (bag_rel p))
+                      (Hashtbl.find topjoins p
+                      :: List.map (Hashtbl.find botjoins) siblings)))
           in
           Hashtbl.replace topjoins v top);
       Hashtbl.replace top_seconds v (Obs.now_seconds () -. t0);
-      Obs.add c_top_rows (Relation.distinct_count (Hashtbl.find topjoins v)))
+      Obs.add c_top_rows
+        (Relation.distinct_count (Hashtbl.find topjoins v).rel))
     (Join_tree.pre_order tree);
   (* Multiplicity tables: T^R = γ_shared(R) (⊤(v) ⋈ {⊥(c)} ⋈ co-members),
      kept factored when the parts are a disjoint cover of shared(R). *)
@@ -303,13 +364,14 @@ let run_component ?(skip = []) ghd db =
           List.filter_map
             (fun m ->
               if String.equal m relation then None
-              else Some (Database.find m db))
+              else Some (exact (Database.find m db)))
             (Ghd.members ghd v)
         in
         let child_bots =
           List.map (Hashtbl.find botjoins) (Join_tree.children tree v)
         in
-        let parts = Hashtbl.find topjoins v :: (child_bots @ co_members) in
+        let inputs = Hashtbl.find topjoins v :: (child_bots @ co_members) in
+        let parts = List.map (fun i -> i.rel) inputs in
         let group = shared_schema cq relation in
         let disjoint_cover =
           let rec check seen = function
@@ -326,7 +388,9 @@ let run_component ?(skip = []) ghd db =
           if disjoint_cover && List.length parts >= 2 then parts
           else [ Join.join_project_all ~group parts ]
         in
-        let table = { schema = group; parts; factor = Count.one } in
+        let table =
+          { schema = group; parts; factor = Count.one; tail = tail_bound inputs }
+        in
         if Obs.enabled () then begin
           Obs.tick (if factored table then c_factored else c_dense);
           Obs.add c_table_rows (stored_rows table)
@@ -339,8 +403,8 @@ let run_component ?(skip = []) ghd db =
       (fun v ->
         {
           bag = v;
-          botjoin_rows = Relation.distinct_count (Hashtbl.find botjoins v);
-          topjoin_rows = Relation.distinct_count (Hashtbl.find topjoins v);
+          botjoin_rows = Relation.distinct_count (Hashtbl.find botjoins v).rel;
+          topjoin_rows = Relation.distinct_count (Hashtbl.find topjoins v).rel;
           botjoin_seconds = Hashtbl.find bot_seconds v;
           topjoin_seconds = Hashtbl.find top_seconds v;
         })
@@ -383,7 +447,7 @@ let apply_selection selection cq db =
   in
   Database.of_list filtered
 
-let analyze ?selection ?(skip = []) ?plans cq db =
+let analyze_with ~step ?selection ?(skip = []) ?plans cq db =
   List.iter
     (fun r ->
       if not (Cq.mem_relation cq r) then
@@ -397,7 +461,7 @@ let analyze ?selection ?(skip = []) ?plans cq db =
     List.map
       (fun component ->
         let plan = Yannakakis.plan_for ?plans component in
-        (component, run_component ~skip plan db))
+        (component, run_component ~step ~skip plan db))
       components
   in
   let out_size =
@@ -426,14 +490,18 @@ let analyze ?selection ?(skip = []) ?plans cq db =
       (fun r -> Option.map (fun t -> (r, t)) (List.assoc_opt r tables))
       (Cq.relation_names cq)
   in
+  (* A relation's maximum is its table's head, or the table's scaled
+     tail if that is larger; the head row is the witness either way. *)
   let bests =
     List.map
       (fun (relation, table) ->
-        ( relation,
-          match ranked_scan selection db cq relation table 1 with
-          | [] -> None
-          | (tuple, count) :: _ -> Some (tuple, Cq.schema_of cq relation, count)
-        ))
+        let tail = Count.mul_tracked table.factor table.tail in
+        match ranked_scan selection db cq relation table 1 with
+        | [] -> (relation, tail, None)
+        | (tuple, count) :: _ ->
+            ( relation,
+              Count.max count tail,
+              Some (tuple, Cq.schema_of cq relation) ))
       tables
   in
   let res = Sens_types.result_of_per_relation bests in
@@ -467,8 +535,15 @@ let analyze ?selection ?(skip = []) ?plans cq db =
     node_stats;
   }
 
+let analyze ?selection ?skip ?plans cq db =
+  analyze_with ~step:exact ?selection ?skip ?plans cq db
+
 let local_sensitivity ?selection ?skip ?plans cq db =
   (analyze ?selection ?skip ?plans cq db).res
+
+let bounds ~step ?plans cq db =
+  let a = analyze_with ~step ?plans cq db in
+  (a.res, a.node_stats)
 
 let result a = a.res
 let output_size a = a.out_size

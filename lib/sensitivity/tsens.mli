@@ -116,6 +116,31 @@ val statistics : analysis -> node_stat list * table_stat list
 
 val pp_statistics : Format.formatter -> analysis -> unit
 
+(** {1 The pass with a compression step} *)
+
+type intermediate = { rel : Relation.t; default : Count.t }
+(** A botjoin or topjoin as the pass carries it: [rel]'s rows exactly,
+    and every other key of its link domain bounded by [default]. *)
+
+val bounds :
+  step:(Relation.t -> intermediate) ->
+  ?plans:Ghd.t list ->
+  Cq.t ->
+  Database.t ->
+  Sens_types.result * node_stat list
+(** Runs {!analyze}'s one pass with [step] applied to every botjoin and
+    topjoin it computes ({!analyze}'s step keeps every row, default 0).
+    Before each join at a bag, an input with a nonzero default is
+    completed against the bag: its default stands in at every key the
+    bag holds and the input lacks. A table's maximum is then the larger
+    of its head and its tail, the default of one part times the largest
+    counts of the others; component sizes, read from each root
+    botjoin, are upper bounds. So with a [step] that drops rows the
+    result's maxima are upper bounds, and its witness is the heaviest
+    row the tables still hold, carrying its relation's bound. The
+    returned statistics count the rows [step] kept. Sound for plans of
+    width 1; {!Approx} refuses the others. *)
+
 val instance_relation : analysis -> string -> Relation.t
 (** The post-selection contents of one relation as the DP saw them
     (columns in atom-schema order). Raises {!Errors.Data_error} for

@@ -781,11 +781,14 @@ let prop_approx_exact_with_large_k =
         approx.Sens_types.per_relation = tsens.Sens_types.per_relation)
 
 let test_approx_compresses () =
-  let exact, compressed = Approx.intermediate_sizes ~k:1 fig3_cq fig3_db in
+  let res, compressed = Approx.analyze ~k:1 fig3_cq fig3_db in
+  let exact =
+    Approx.intermediate_rows fig3_cq
+      (fst (Tsens.statistics (Tsens.analyze fig3_cq fig3_db)))
+  in
   Alcotest.(check bool) "compression shrinks tables" true (compressed < exact);
   Alcotest.(check bool) "still an upper bound" true
-    ((Approx.local_sensitivity ~k:1 fig3_cq fig3_db).Sens_types
-       .local_sensitivity >= 21)
+    (res.Sens_types.local_sensitivity >= 21)
 
 (* The ablation's seed-42 bounds and intermediate sizes, as
    [bench topk] prints them: (k, LS bound, rows kept). *)
@@ -794,8 +797,11 @@ let test_approx_pinned_ablation () =
   let check label cq db plans exact_rows pins =
     List.iter
       (fun (k, ls, kept) ->
-        let res = Approx.local_sensitivity ~k ~plans cq db in
-        let exact, compressed = Approx.intermediate_sizes ~k ~plans cq db in
+        let res, compressed = Approx.analyze ~k ~plans cq db in
+        let exact =
+          Approx.intermediate_rows cq
+            (fst (Tsens.statistics (Tsens.analyze ~plans cq db)))
+        in
         let name = Printf.sprintf "%s k=%d" label k in
         Alcotest.(check int) (name ^ " LS bound") ls
           res.Sens_types.local_sensitivity;
