@@ -8,7 +8,6 @@
    {!Relation.create}'s checks and regrouping. *)
 
 let c_rows = Obs.counter "join.rows_emitted"
-let c_sat = Obs.counter "count.saturations"
 let g_groups = Obs.gauge "join.max_group_table_rows"
 
 (* Emitting is the per-row hot path: only interpose on it when the sink
@@ -17,7 +16,6 @@ let instrument_emit emit =
   if not (Obs.enabled ()) then emit
   else fun ltup rtup cnt ->
     Obs.tick c_rows;
-    if Count.is_saturated cnt then Obs.tick c_sat;
     emit ltup rtup cnt
 
 type plan = {
@@ -48,14 +46,15 @@ let combine plan left_tup right_tup =
 
 (* The probe loop: stream the left side through the right
    side's index and hand each matching pair, with its product count, to
-   [emit]. *)
+   [emit]. A product that saturates from finite counts ticks
+   count.saturations; one carrying an already saturated count does not. *)
 let probe plan a b emit =
   let idx = build_right_index plan b in
   Relation.iter
     (fun ltup lcnt ->
       let key = Tuple.project plan.common_left ltup in
       Array.iter
-        (fun (rtup, rcnt) -> emit ltup rtup (Count.mul lcnt rcnt))
+        (fun (rtup, rcnt) -> emit ltup rtup (Count.mul_tracked lcnt rcnt))
         (Index.lookup idx key))
     a
 

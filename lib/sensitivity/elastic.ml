@@ -69,12 +69,12 @@ let max_frequency_memo cq db =
               let join_attrs = Schema.inter sl sr in
               let pinned = Schema.union join_attrs attrs in
               let bound_left =
-                Count.mul
+                Count.mul_tracked
                   (mf l (Schema.inter attrs sl))
                   (mf r (Schema.inter pinned sr))
               in
               let bound_right =
-                Count.mul
+                Count.mul_tracked
                   (mf r (Schema.inter attrs sr))
                   (mf l (Schema.inter pinned sl))
               in
@@ -97,8 +97,8 @@ let relation_sensitivity_with mf cq plan target =
         let sl = plan_schema cq l and sr = plan_schema cq r in
         let join_attrs = Schema.inter sl sr in
         if List.exists (String.equal target) (plan_atoms l) then
-          Count.mul (sens l) (mf r (Schema.inter join_attrs sr))
-        else Count.mul (sens r) (mf l (Schema.inter join_attrs sl))
+          Count.mul_tracked (sens l) (mf r (Schema.inter join_attrs sr))
+        else Count.mul_tracked (sens r) (mf l (Schema.inter join_attrs sl))
   in
   sens plan
 

@@ -751,8 +751,8 @@ let test_kernel_saturation_ticks () =
   in
   (* Every product stays finite; the two of group A=1 sum past max_count. *)
   let finite = b [ 1; 1 ] in
-  (* The second product saturates as it is emitted. *)
-  let saturating = b [ 1; Count.max_count ] in
+  (* The second product saturates from finite counts as it is emitted. *)
+  let saturating = b [ 1; 2 ] in
   let check name f reference =
     let result, ticks = saturations f in
     Alcotest.(check Tgen.relation_testable) (name ^ " = reference") reference
@@ -874,7 +874,43 @@ let test_kernel_saturation_ticks () =
   in
   check_count "approx scaled bound" (fun () ->
       (Approx.local_sensitivity ~k:4 cq_bound db_bound)
-        .Sens_types.local_sensitivity)
+        .Sens_types.local_sensitivity);
+  (* Elastic's bound for R multiplies S's max frequency on A, [half],
+     by U's on B, 2. *)
+  let cq_elastic =
+    Cq.make [ ("R", [ "A"; "B" ]); ("S", [ "A" ]); ("U", [ "B" ]) ]
+  in
+  let db_elastic =
+    Database.of_list
+      [
+        ( "R",
+          Relation.create ~schema:(schema [ "A"; "B" ])
+            [ (tup [ v 1; v 1 ], 1) ] );
+        ("S", Relation.create ~schema:(schema [ "A" ]) [ (tup [ v 1 ], half) ]);
+        ("U", Relation.create ~schema:(schema [ "B" ]) [ (tup [ v 1 ], 2) ]);
+      ]
+  in
+  check_count "elastic max-frequency product" (fun () ->
+      (Elastic.local_sensitivity cq_elastic db_elastic)
+        .Sens_types.local_sensitivity);
+  check_count "total tuples" (fun () ->
+      Database.total_tuples
+        (Database.of_list
+           [ single "R" [ (tup [ v 1 ], half) ]; single "S" [ (tup [ v 1 ], half) ] ]));
+  (* A product that carries an already saturated count was reported
+     where that count saturated: joining a saturated row with a count-1
+     partner emits a saturated row and does not tick. *)
+  let carried, ticks =
+    saturations (fun () ->
+        Join.natural_join
+          (Relation.create ~schema:(schema [ "A" ])
+             [ (tup [ v 1 ], Count.max_count) ])
+          (Relation.create ~schema:(schema [ "A"; "B" ])
+             [ (tup [ v 1; v 2 ], 1) ]))
+  in
+  Alcotest.(check bool) "carried saturation stays saturated" true
+    (Array.for_all (fun (_, c) -> Count.is_saturated c) (Relation.rows carried));
+  Alcotest.(check int) "carried saturation does not tick" 0 ticks
 
 (* ------------------------------------------------------------------ *)
 (* Index *)
