@@ -88,8 +88,11 @@ let tokenize input =
       while !i < n && is_digit input.[!i] do
         incr i
       done;
-      push ~start ~stop:!i
-        (Int (int_of_string (String.sub input start (!i - start))))
+      let digits = String.sub input start (!i - start) in
+      match int_of_string_opt digits with
+      | Some n -> push ~start ~stop:!i (Int n)
+      | None ->
+          err ~span:(Srcspan.make start !i) "integer %s is out of range" digits
     end
     else if is_word_char c then begin
       let start = !i in

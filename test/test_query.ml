@@ -452,6 +452,28 @@ let test_parser_constraints () =
   let _, cs = Parser.parse_full "Q(*) :- R1(A,B), A = true, B = 'x y'" in
   Alcotest.(check int) "bool and spaced string" 2 (List.length cs)
 
+(* Any input parses or fails with a positioned error: no exception and
+   no error without a span. *)
+let prop_parser_fuzz =
+  Tgen.qtest ~count:500 "fuzzed input: query or positioned error"
+    (Tgen.fuzz_text_gen ~prefix:"Q(*) :- "
+       [
+         "Q"; "R1"; "A"; "b_2"; "x'"; "("; ")"; "*"; ","; ":-"; ":"; "-";
+         "."; "%c\n"; "="; "!="; "!"; "<"; "<="; ">"; ">="; "'s t'"; "'";
+         "0"; "42"; "-7"; "99999999999999999999"; "true"; "false";
+       ])
+    (Printf.sprintf "%S")
+    (fun text -> Tgen.positioned text (Parser.parse_raw text))
+
+let test_parser_integer_out_of_range () =
+  let text = "Q(*) :- R(A), A < 99999999999999999999" in
+  match Parser.parse_raw text with
+  | Error (_, Some span) ->
+      Alcotest.(check string) "spans the literal" "99999999999999999999"
+        (Srcspan.extract text span)
+  | Error (_, None) -> Alcotest.fail "error without a span"
+  | Ok _ -> Alcotest.fail "accepted"
+
 let test_constraints_holds () =
   let open Constraints in
   let v = Value.int in
@@ -567,6 +589,9 @@ let () =
           Alcotest.test_case "head order" `Quick
             test_parser_head_order_insensitive;
           Alcotest.test_case "constraints" `Quick test_parser_constraints;
+          Alcotest.test_case "integer out of range" `Quick
+            test_parser_integer_out_of_range;
+          prop_parser_fuzz;
         ] );
       ( "constraints",
         [

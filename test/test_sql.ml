@@ -192,6 +192,29 @@ let test_sql_end_to_end_selection () =
     tsens.Sens_types.local_sensitivity;
   Alcotest.(check bool) "positive" true (tsens.Sens_types.local_sensitivity > 0)
 
+(* Any input parses or fails with a positioned error: no exception and
+   no error without a span. *)
+let prop_parse_from_fuzz =
+  Tgen.qtest ~count:500 "fuzzed input: FROM list or positioned error"
+    (Tgen.fuzz_text_gen ~prefix:"SELECT COUNT(*) FROM "
+       [
+         "SELECT"; "count"; "FROM"; "WHERE"; "AND"; "AS"; "E1"; "a"; "dst";
+         "("; ")"; "*"; ","; "."; ";"; "="; "<>"; "!="; "!"; "<"; "<=";
+         ">"; ">="; "'x y'"; "'"; "--c\n"; "-"; "0"; "12"; "-3";
+         "99999999999999999999"; "TRUE"; "false";
+       ])
+    (Printf.sprintf "%S")
+    (fun text -> Tgen.positioned text (Sql.parse_from text))
+
+let test_sql_integer_out_of_range () =
+  let text = "SELECT COUNT(*) FROM E1 WHERE dst < 99999999999999999999" in
+  match Sql.parse_from text with
+  | Error (_, Some span) ->
+      Alcotest.(check string) "spans the literal" "99999999999999999999"
+        (Srcspan.extract text span)
+  | Error (_, None) -> Alcotest.fail "error without a span"
+  | Ok _ -> Alcotest.fail "accepted"
+
 let () =
   Alcotest.run "sql"
     [
@@ -211,5 +234,11 @@ let () =
             test_sql_catalog_of_database;
           Alcotest.test_case "end-to-end selection" `Quick
             test_sql_end_to_end_selection;
+        ] );
+      ( "parse_from",
+        [
+          Alcotest.test_case "integer out of range" `Quick
+            test_sql_integer_out_of_range;
+          prop_parse_from_fuzz;
         ] );
     ]

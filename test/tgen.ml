@@ -95,6 +95,33 @@ let qtest ?(count = 200) name gen print prop =
   QCheck_alcotest.to_alcotest
     (QCheck2.Test.make ~count ~name ~print gen prop)
 
+(* Fuzzed source text for a parser: a run of the language's own
+   fragments (so many inputs are nearly valid) mixed with arbitrary
+   bytes, after [prefix] half the time (so the fuzz reaches past the
+   first keywords). *)
+let fuzz_text_gen ~prefix fragments =
+  QCheck2.Gen.(
+    let piece =
+      frequency
+        [
+          (6, oneofl fragments);
+          (1, map (String.make 1) char);
+          (1, oneofl [ " "; "\n"; "\t"; "\r\n" ]);
+        ]
+    in
+    pair bool (list_size (int_range 0 16) piece) >>= fun (prefixed, pieces) ->
+    return ((if prefixed then prefix else "") ^ String.concat "" pieces))
+
+(* A parser's result on fuzzed [text] is acceptable when it parsed or
+   failed with a span inside the text. *)
+let positioned text = function
+  | Ok _ -> true
+  | Error (_, None) -> false
+  | Error (_, Some span) ->
+      0 <= span.Srcspan.start_ofs
+      && span.Srcspan.start_ofs <= span.Srcspan.stop_ofs
+      && span.Srcspan.stop_ofs <= String.length text
+
 (* Theorem 4.1's space bound on a path query: each multiplicity table
    stores at most 1 + Σ distinct rows of the instance, because an
    interior table keeps ⊤ and ⊥ apart instead of holding its
