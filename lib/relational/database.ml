@@ -22,7 +22,9 @@ let update ~name f db =
 let fold f db init = M.fold f db init
 
 let total_tuples db =
-  M.fold (fun _ r acc -> Count.add_tracked acc (Relation.cardinality r)) db Count.zero
+  M.fold
+    (fun _ r acc -> Count.add_tracked acc (Relation.cardinality r))
+    db Count.zero
 
 let pp ppf db =
   Format.fprintf ppf "@[<v>";

@@ -389,7 +389,12 @@ let run_component ~step ?(skip = []) ghd db =
           else [ Join.join_project_all ~group parts ]
         in
         let table =
-          { schema = group; parts; factor = Count.one; tail = tail_bound inputs }
+          {
+            schema = group;
+            parts;
+            factor = Count.one;
+            tail = tail_bound inputs;
+          }
         in
         if Obs.enabled () then begin
           Obs.tick (if factored table then c_factored else c_dense);

@@ -896,7 +896,10 @@ let test_kernel_saturation_ticks () =
   check_count "total tuples" (fun () ->
       Database.total_tuples
         (Database.of_list
-           [ single "R" [ (tup [ v 1 ], half) ]; single "S" [ (tup [ v 1 ], half) ] ]));
+           [
+             single "R" [ (tup [ v 1 ], half) ];
+             single "S" [ (tup [ v 1 ], half) ];
+           ]));
   (* A product that carries an already saturated count was reported
      where that count saturated: joining a saturated row with a count-1
      partner emits a saturated row and does not tick. *)
@@ -909,7 +912,9 @@ let test_kernel_saturation_ticks () =
              [ (tup [ v 1; v 2 ], 1) ]))
   in
   Alcotest.(check bool) "carried saturation stays saturated" true
-    (Array.for_all (fun (_, c) -> Count.is_saturated c) (Relation.rows carried));
+    (Array.for_all
+       (fun (_, c) -> Count.is_saturated c)
+       (Relation.rows carried));
   Alcotest.(check int) "carried saturation does not tick" 0 ticks
 
 (* ------------------------------------------------------------------ *)
