@@ -795,18 +795,16 @@ let test_approx_compresses () =
 let test_approx_pinned_ablation () =
   let open Tsens_workload in
   let check label cq db plans exact_rows pins =
+    Alcotest.(check int) (label ^ " exact rows") exact_rows
+      (Approx.intermediate_rows cq
+         (fst (Tsens.statistics (Tsens.analyze ~plans cq db))));
     List.iter
       (fun (k, ls, kept) ->
         let res, compressed = Approx.analyze ~k ~plans cq db in
-        let exact =
-          Approx.intermediate_rows cq
-            (fst (Tsens.statistics (Tsens.analyze ~plans cq db)))
-        in
         let name = Printf.sprintf "%s k=%d" label k in
         Alcotest.(check int) (name ^ " LS bound") ls
           res.Sens_types.local_sensitivity;
-        Alcotest.(check (pair int int)) (name ^ " rows kept") (kept, exact_rows)
-          (compressed, exact))
+        Alcotest.(check int) (name ^ " rows kept") kept compressed)
       pins
   in
   check "q1" Queries.q1
