@@ -7,7 +7,8 @@
      generate     write a synthetic TPC-H or ego-network instance as CSVs
      dp           differentially private counting-query release (TSensDP)
 
-   Queries are given in datalog syntax, either inline or in a file:
+   Queries are given in datalog syntax (or SQL with --sql), either
+   inline or in a file:
      Q( * ) :- R1(A,B), R2(B,C).   [a head of * lists all variables]
    Each relation R is loaded from <data-dir>/R.csv (header row with the
    attribute names plus a trailing cnt column). *)
@@ -57,14 +58,14 @@ let query_text spec =
 
 let load_query spec = Parser.parse_full (query_text spec)
 
-let catalog_of_dir dir =
+(* Every <name>.csv of the directory, read once: the SQL front end takes
+   its catalog from it and [check] its statistics too. *)
+let database_of_dir dir =
   Sys.readdir dir |> Array.to_list
   |> List.filter (fun f -> Filename.check_suffix f ".csv")
-  |> List.sort String.compare
   |> List.map (fun f ->
-         ( Filename.remove_extension f,
-           Schema.attrs
-             (Relation.schema (Csv.read_file (Filename.concat dir f))) ))
+         (Filename.remove_extension f, Csv.read_file (Filename.concat dir f)))
+  |> Database.of_list
 
 let load_database cq dir =
   let load name =
@@ -128,9 +129,16 @@ let handle_errors f =
 (* Query + constraints + matching database, from either surface syntax. *)
 let prepare ~sql query data =
   if sql then begin
-    let t = Sql.translate ~catalog:(catalog_of_dir data) (query_text query) in
-    let db = Sql.bind t (load_database t.Sql.query data) in
-    (t.Sql.query, t.Sql.constraints, db)
+    let db = database_of_dir data in
+    let t =
+      Sql.translate ~catalog:(Sql.catalog_of_database db) (query_text query)
+    in
+    (* The query's relations only, as the datalog path loads. *)
+    let tables = Cq.relation_names t.Sql.query in
+    let db =
+      Database.of_list (List.map (fun n -> (n, Database.find n db)) tables)
+    in
+    (t.Sql.query, t.Sql.constraints, Sql.bind t db)
   end
   else begin
     let cq, constraints = load_query query in
@@ -139,19 +147,6 @@ let prepare ~sql query data =
 
 (* ------------------------------------------------------------------ *)
 (* check *)
-
-(* One directory scan for both the catalog and the cardinality
-   statistics the analyzer's saturation bound needs. *)
-let catalog_and_stats_of_dir dir =
-  let rels =
-    Sys.readdir dir |> Array.to_list
-    |> List.filter (fun f -> Filename.check_suffix f ".csv")
-    |> List.sort String.compare
-    |> List.map (fun f ->
-           (Filename.remove_extension f, Csv.read_file (Filename.concat dir f)))
-  in
-  ( List.map (fun (n, r) -> (n, Schema.attrs (Relation.schema r))) rels,
-    List.map (fun (n, r) -> (n, Relation.cardinality r)) rels )
 
 (* The DP checks only run when at least one DP option was given. *)
 let dp_of_options ~private_rel ~epsilon ~threshold_fraction ~ell =
@@ -210,8 +205,9 @@ let run_check query sql data workload private_rel epsilon threshold_fraction
             match data with
             | None -> (None, None)
             | Some dir ->
-                let c, s = catalog_and_stats_of_dir dir in
-                (Some c, Some s)
+                let db = database_of_dir dir in
+                ( Some (Sql.catalog_of_database db),
+                  Some (Analyzer.stats_of_database db) )
           in
           let dp =
             dp_of_options ~private_rel ~epsilon ~threshold_fraction ~ell
@@ -322,9 +318,8 @@ let run_classify query sql data =
         if sql then begin
           match data with
           | Some dir ->
-              let t =
-                Sql.translate ~catalog:(catalog_of_dir dir) (query_text query)
-              in
+              let catalog = Sql.catalog_of_database (database_of_dir dir) in
+              let t = Sql.translate ~catalog (query_text query) in
               (t.Sql.query, t.Sql.constraints)
           | None ->
               raise (Sql.Sql_error "--sql classification needs --data for the catalog")

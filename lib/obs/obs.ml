@@ -5,7 +5,6 @@
 
 let on = ref false
 let enabled () = !on
-let set_enabled b = on := b
 let enable () = on := true
 let disable () = on := false
 let now_seconds = Unix.gettimeofday

@@ -16,7 +16,6 @@
 (** {1 The global toggle} *)
 
 val enabled : unit -> bool
-val set_enabled : bool -> unit
 val enable : unit -> unit
 val disable : unit -> unit
 

@@ -60,8 +60,3 @@ let elimination cq =
   | Cyclic residual ->
       Errors.schema_errorf "CQ %s is cyclic (residual atoms: %s)" (Cq.name cq)
         (String.concat ", " residual)
-
-let pp_step ppf { ear; witness } =
-  match witness with
-  | Some w -> Format.fprintf ppf "%s -> %s" ear w
-  | None -> Format.fprintf ppf "%s (root)" ear

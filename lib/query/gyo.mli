@@ -26,5 +26,3 @@ val is_acyclic : Cq.t -> bool
 val elimination : Cq.t -> step list
 (** Like {!decompose} but raises {!Tsens_relational.Errors.Schema_error}
     on cyclic queries. *)
-
-val pp_step : Format.formatter -> step -> unit

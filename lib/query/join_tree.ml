@@ -37,7 +37,6 @@ let rec pre_order_from t node =
   node :: List.concat_map (pre_order_from t) (children t node)
 
 let pre_order t = pre_order_from t t.root
-let subtree t node = post_order_from t node
 
 let max_degree t =
   List.fold_left
@@ -64,7 +63,7 @@ let validate t =
       match parent t node with
       | None -> ()
       | Some _ ->
-          let inside = subtree t node in
+          let inside = post_order_from t node in
           let outside =
             List.filter
               (fun n -> not (List.exists (String.equal n) inside))

@@ -49,9 +49,6 @@ val post_order : t -> string list
 val pre_order : t -> string list
 (** Parents before children; deterministic. *)
 
-val subtree : t -> string -> string list
-(** Nodes of the subtree rooted at the given node (inclusive). *)
-
 val max_degree : t -> int
 (** The paper's d: max over nodes of (children count + 1 if non-root),
     i.e. the maximum tree degree. *)

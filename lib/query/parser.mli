@@ -1,6 +1,7 @@
 (** Datalog-syntax parser for conjunctive queries with selections.
 
-    Accepted grammar (whitespace-insensitive, [%] starts a line comment):
+    Accepted grammar over {!Lexer}'s tokens (whitespace-insensitive;
+    [%] and [--] start a line comment; identifiers may contain [']):
 
     {v
     query  ::= head ":-" item ("," item)* "."?
@@ -9,7 +10,7 @@
     atom   ::= ident "(" vars ")"
     vars   ::= ident ("," ident)*
     constraint ::= ident op literal
-    op     ::= "=" | "!=" | "<" | "<=" | ">" | ">="
+    op     ::= "=" | "!=" | "<>" | "<" | "<=" | ">" | ">="
     literal ::= integer | 'string' | true | false
     v}
 

@@ -4,12 +4,6 @@ exception Sql_error of string
 
 let fail fmt = Format.kasprintf (fun s -> raise (Sql_error s)) fmt
 
-(* Positioned failure: the span is rendered into the [Sql_error] message
-   and also kept by [parse_from] for the static analyzer. *)
-exception Err of string * Srcspan.t option
-
-let err ?span fmt = Format.kasprintf (fun s -> raise (Err (s, span))) fmt
-
 let catalog_of_database db =
   Database.fold
     (fun name rel acc -> (name, Schema.attrs (Relation.schema rel)) :: acc)
@@ -17,138 +11,24 @@ let catalog_of_database db =
   |> List.rev
 
 (* ------------------------------------------------------------------ *)
-(* Lexer *)
-
-type token =
-  | Word of string (* identifier or keyword, original case *)
-  | Int of int
-  | Str of string
-  | Punct of string (* ( ) , . ; * and comparison operators *)
-
-let is_word_char c =
-  (c >= 'a' && c <= 'z')
-  || (c >= 'A' && c <= 'Z')
-  || (c >= '0' && c <= '9')
-  || c = '_'
-
-let is_digit c = c >= '0' && c <= '9'
-
-let tokenize input =
-  let n = String.length input in
-  let tokens = ref [] in
-  let i = ref 0 in
-  let lex_fail ?(stop = !i + 1) fmt =
-    err ~span:(Srcspan.make !i (min stop n)) fmt
-  in
-  let push ~start ~stop t = tokens := (t, Srcspan.make start stop) :: !tokens in
-  let push1 t =
-    push ~start:!i ~stop:(!i + 1) t;
-    incr i
-  in
-  let push2 t =
-    push ~start:!i ~stop:(!i + 2) t;
-    i := !i + 2
-  in
-  while !i < n do
-    let c = input.[!i] in
-    if c = ' ' || c = '\t' || c = '\n' || c = '\r' then incr i
-    else if c = '-' && !i + 1 < n && input.[!i + 1] = '-' then
-      (* SQL line comment *)
-      while !i < n && input.[!i] <> '\n' do
-        incr i
-      done
-    else if c = '(' || c = ')' || c = ',' || c = '.' || c = ';' || c = '*'
-    then push1 (Punct (String.make 1 c))
-    else if c = '<' then
-      if !i + 1 < n && (input.[!i + 1] = '=' || input.[!i + 1] = '>') then
-        push2 (Punct (Printf.sprintf "<%c" input.[!i + 1]))
-      else push1 (Punct "<")
-    else if c = '>' then
-      if !i + 1 < n && input.[!i + 1] = '=' then push2 (Punct ">=")
-      else push1 (Punct ">")
-    else if c = '=' then push1 (Punct "=")
-    else if c = '!' then
-      if !i + 1 < n && input.[!i + 1] = '=' then push2 (Punct "!=")
-      else lex_fail "unexpected '!'"
-    else if c = '\'' then begin
-      let start = !i + 1 in
-      let j = ref start in
-      while !j < n && input.[!j] <> '\'' do
-        incr j
-      done;
-      if !j >= n then lex_fail ~stop:n "unterminated string literal";
-      push ~start:(start - 1) ~stop:(!j + 1)
-        (Str (String.sub input start (!j - start)));
-      i := !j + 1
-    end
-    else if is_digit c || (c = '-' && !i + 1 < n && is_digit input.[!i + 1])
-    then begin
-      let start = !i in
-      incr i;
-      while !i < n && is_digit input.[!i] do
-        incr i
-      done;
-      let digits = String.sub input start (!i - start) in
-      match int_of_string_opt digits with
-      | Some n -> push ~start ~stop:!i (Int n)
-      | None ->
-          err ~span:(Srcspan.make start !i) "integer %s is out of range" digits
-    end
-    else if is_word_char c then begin
-      let start = !i in
-      while !i < n && is_word_char input.[!i] do
-        incr i
-      done;
-      push ~start ~stop:!i (Word (String.sub input start (!i - start)))
-    end
-    else lex_fail "unexpected character %C" c
-  done;
-  List.rev !tokens
-
-(* ------------------------------------------------------------------ *)
 (* Parser *)
 
-type state = { mutable rest : (token * Srcspan.t) list; eof : Srcspan.t }
-
 let keyword w = String.uppercase_ascii w
-
-let describe = function
-  | Word w -> Printf.sprintf "identifier %s" w
-  | Int n -> Printf.sprintf "integer %d" n
-  | Str s -> Printf.sprintf "string %S" s
-  | Punct p -> Printf.sprintf "%S" p
-
-let parse_fail st what =
-  match st.rest with
-  | (t, span) :: _ -> err ~span "expected %s, got %s" what (describe t)
-  | [] -> err ~span:st.eof "expected %s, got end of input" what
-
-let expect st what pred =
-  match st.rest with
-  | (t, span) :: rest when pred t ->
-      st.rest <- rest;
-      (t, span)
-  | _ -> parse_fail st what
-
-let expect_keyword st kw =
-  ignore (expect st kw (function Word w -> keyword w = kw | _ -> false))
-
-let expect_punct st p =
-  ignore (expect st (Printf.sprintf "%S" p) (function
-    | Punct q -> q = p
-    | _ -> false))
 
 let is_reserved w =
   List.mem (keyword w) [ "SELECT"; "COUNT"; "FROM"; "WHERE"; "AS"; "AND" ]
 
-(* Direct pattern match — no catch-all [assert false] left to reach on
-   malformed input. *)
-let parse_word st what =
-  match st.rest with
-  | (Word w, span) :: rest ->
-      st.rest <- rest;
-      (w, span)
-  | _ -> parse_fail st what
+let accept_keyword kw st =
+  match Lexer.peek st with
+  | Some (Lexer.Ident w) when keyword w = kw ->
+      Lexer.junk st;
+      true
+  | _ -> false
+
+let expect_keyword st kw =
+  if not (accept_keyword kw st) then Lexer.expected st kw
+
+let expect_sym st s = ignore (Lexer.expect st (Lexer.Sym s))
 
 type colref = { alias : string option; column : string }
 
@@ -156,71 +36,40 @@ type cond =
   | Join of colref * colref
   | Select of colref * Constraints.op * Value.t
 
-let parse_colref_from st first =
-  match st.rest with
-  | (Punct ".", _) :: rest ->
-      st.rest <- rest;
-      let column, _ = parse_word st "column name" in
-      { alias = Some first; column }
-  | _ -> { alias = None; column = first }
-
 let parse_operand st =
-  match st.rest with
-  | (Word w, _) :: rest when not (is_reserved w) ->
-      st.rest <- rest;
-      if keyword w = "TRUE" then `Literal (Value.bool true)
-      else if keyword w = "FALSE" then `Literal (Value.bool false)
-      else `Col (parse_colref_from st w)
-  | (Int n, _) :: rest ->
-      st.rest <- rest;
-      `Literal (Value.int n)
-  | (Str s, _) :: rest ->
-      st.rest <- rest;
-      `Literal (Value.str s)
-  | _ -> parse_fail st "a column or literal"
-
-let parse_op st =
-  match st.rest with
-  | (Punct p, span) :: rest -> (
-      let op =
-        match p with
-        | "=" -> Some Constraints.Eq
-        | "!=" | "<>" -> Some Constraints.Neq
-        | "<" -> Some Constraints.Lt
-        | "<=" -> Some Constraints.Le
-        | ">" -> Some Constraints.Gt
-        | ">=" -> Some Constraints.Ge
-        | _ -> None
-      in
-      match op with
-      | Some op ->
-          st.rest <- rest;
-          op
-      | None -> err ~span "expected a comparison operator, got %S" p)
-  | _ -> parse_fail st "a comparison operator"
-
-let cond_span st start =
-  let stop =
-    match st.rest with
-    | (_, next) :: _ -> next.Srcspan.start_ofs
-    | [] -> st.eof.Srcspan.start_ofs
+  let operand =
+    match Lexer.peek st with
+    | Some (Lexer.Ident w) when not (is_reserved w) -> (
+        match keyword w with
+        | "TRUE" -> `Literal (Value.bool true)
+        | "FALSE" -> `Literal (Value.bool false)
+        | _ -> `Col w)
+    | Some (Lexer.Int n) -> `Literal (Value.int n)
+    | Some (Lexer.Str s) -> `Literal (Value.str s)
+    | _ -> Lexer.expected st "a column or literal"
   in
-  Srcspan.join start (Srcspan.make stop stop)
+  Lexer.junk st;
+  match operand with
+  | `Col first when Lexer.accept st (Lexer.Sym ".") ->
+      let column, _ = Lexer.ident st "column name" in
+      `Col { alias = Some first; column }
+  | `Col column -> `Col { alias = None; column }
+  | `Literal v -> `Literal v
 
 let parse_cond st =
-  let start =
-    match st.rest with
-    | (_, span) :: _ -> span
-    | [] -> st.eof
-  in
+  let start = Lexer.next_span st in
   let left = parse_operand st in
-  let op = parse_op st in
+  let op =
+    match Lexer.comparison st with
+    | Some op -> op
+    | None -> Lexer.expected st "a comparison operator"
+  in
   let right = parse_operand st in
-  let span = cond_span st start in
+  let span = Lexer.span_from st start in
   match (left, op, right) with
   | `Col a, Constraints.Eq, `Col b -> (Join (a, b), span)
   | `Col _, _, `Col _ ->
-      err ~span "only equality joins between columns are supported"
+      Lexer.fail span "only equality joins between columns are supported"
   | `Col a, op, `Literal v -> (Select (a, op, v), span)
   | `Literal v, op, `Col a ->
       (* flip the comparison *)
@@ -234,65 +83,44 @@ let parse_cond st =
         | Constraints.Ge -> Constraints.Le
       in
       (Select (a, flipped, v), span)
-  | `Literal _, _, `Literal _ -> err ~span "comparison between two literals"
+  | `Literal _, _, `Literal _ ->
+      Lexer.fail span "comparison between two literals"
 
 type from_item = { table : string; alias : string; item_span : Srcspan.t }
 
 let parse_from_item st =
-  let table, table_span = parse_word st "table name" in
-  match st.rest with
-  | (Word w, _) :: rest when keyword w = "AS" ->
-      st.rest <- rest;
-      let alias, alias_span = parse_word st "alias" in
-      { table; alias; item_span = Srcspan.join table_span alias_span }
-  | (Word w, alias_span) :: rest when not (is_reserved w) ->
-      st.rest <- rest;
-      { table; alias = w; item_span = Srcspan.join table_span alias_span }
-  | _ -> { table; alias = table; item_span = table_span }
-
-let parse_query input =
-  let st =
-    { rest = tokenize input; eof = Srcspan.point (String.length input) }
+  let table, table_span = Lexer.ident st "table name" in
+  let item alias alias_span =
+    { table; alias; item_span = Srcspan.join table_span alias_span }
   in
+  match Lexer.peek st with
+  | Some (Lexer.Ident w) when keyword w = "AS" ->
+      Lexer.junk st;
+      let alias, alias_span = Lexer.ident st "alias" in
+      item alias alias_span
+  | Some (Lexer.Ident w) when not (is_reserved w) ->
+      let alias_span = Lexer.next_span st in
+      Lexer.junk st;
+      item w alias_span
+  | _ -> item table table_span
+
+let parse_query st =
   expect_keyword st "SELECT";
   expect_keyword st "COUNT";
-  expect_punct st "(";
-  expect_punct st "*";
-  expect_punct st ")";
+  List.iter (expect_sym st) [ "("; "*"; ")" ];
   expect_keyword st "FROM";
-  let rec from_items acc =
-    let item = parse_from_item st in
-    match st.rest with
-    | (Punct ",", _) :: rest ->
-        st.rest <- rest;
-        from_items (item :: acc)
-    | _ -> List.rev (item :: acc)
+  let from =
+    Lexer.sep_by1 (fun st -> Lexer.accept st (Lexer.Sym ",")) parse_from_item st
   in
-  let from = from_items [] in
   let conds =
-    match st.rest with
-    | (Word w, _) :: rest when keyword w = "WHERE" ->
-        st.rest <- rest;
-        let rec loop acc =
-          let c = parse_cond st in
-          match st.rest with
-          | (Word w, _) :: rest when keyword w = "AND" ->
-              st.rest <- rest;
-              loop (c :: acc)
-          | _ -> List.rev (c :: acc)
-        in
-        loop []
-    | _ -> []
+    if accept_keyword "WHERE" st then
+      Lexer.sep_by1 (accept_keyword "AND") parse_cond st
+    else []
   in
-  (match st.rest with
-  | [] | [ (Punct ";", _) ] -> ()
-  | (t, span) :: _ -> err ~span "unexpected %s after the query" (describe t));
+  Lexer.finish st (Lexer.Sym ";");
   (from, conds)
 
-let parse_from input =
-  match parse_query input with
-  | from, _ -> Ok from
-  | exception Err (msg, span) -> Error (msg, span)
+let parse_from input = Result.map fst (Lexer.run parse_query input)
 
 (* ------------------------------------------------------------------ *)
 (* Translation *)
@@ -313,10 +141,9 @@ type translation = {
 
 let translate ~catalog input =
   let from, conds =
-    try parse_query input with
-    | Err (msg, None) -> fail "%s" msg
-    | Err (msg, Some span) ->
-        fail "%s at %s" msg (Format.asprintf "%a" (Srcspan.pp_in input) span)
+    match Lexer.run parse_query input with
+    | Ok parsed -> parsed
+    | Error e -> raise (Sql_error (Lexer.message input e))
   in
   let conds = List.map fst conds in
   (* Resolve tables and aliases. *)

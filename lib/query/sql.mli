@@ -9,6 +9,19 @@
     WHERE c.CK = o.CK AND o.OK = l.OK AND c.NK = 7
     v}
 
+    The grammar, over {!Lexer}'s tokens (so [--] and [%] start a line
+    comment, identifiers may contain ['], and [!=] and [<>] are the same
+    operator):
+
+    {v
+    query   ::= SELECT COUNT "(" "*" ")" FROM item ("," item)*
+                (WHERE cond (AND cond)* )? ";"?
+    item    ::= table (AS? alias)?
+    cond    ::= operand op operand
+    operand ::= column | alias "." column | integer | 'string' | TRUE | FALSE
+    op      ::= "=" | "!=" | "<>" | "<" | "<=" | ">" | ">="
+    v}
+
     Equality conditions between columns induce the join variables (a
     union–find over column references — natural-join semantics are *not*
     assumed: only equated columns join); comparisons against literals

@@ -24,6 +24,8 @@ let compare a b =
   | 0 -> Int.compare a.stop_ofs b.stop_ofs
   | c -> c
 
+(* The 1-based (line, column) of a byte offset; offsets past the end
+   report the position just after the last character. *)
 let line_col src ofs =
   let ofs = min (max 0 ofs) (String.length src) in
   let line = ref 1 and bol = ref 0 in

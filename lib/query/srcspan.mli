@@ -30,11 +30,6 @@ val length : t -> int
 val equal : t -> t -> bool
 val compare : t -> t -> int
 
-val line_col : string -> int -> int * int
-(** [line_col src ofs] is the 1-based (line, column) of a byte offset in
-    [src]; offsets past the end report the position just after the last
-    character. *)
-
 val extract : string -> t -> string
 (** The spanned substring, clamped to the source bounds. *)
 

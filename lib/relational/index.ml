@@ -19,7 +19,7 @@ type group = {
   mutable total : Count.t;
 }
 
-type t = { key : Schema.t; source : Schema.t; groups : group H.t }
+type t = group H.t
 
 (* The temporary cons lists reverse row order, as the frozen arrays'
    contract requires (newest first, matching the historical list-based
@@ -55,20 +55,15 @@ let build ~key rel =
     Obs.add c_rows (Relation.distinct_count rel);
     H.iter (fun _ g -> Obs.observe g_group (Array.length g.rows)) groups
   end;
-  { key; source; groups }
-
-let key_schema t = t.key
-let source_schema t = t.source
+  groups
 
 let lookup t k =
   Obs.tick c_probes;
-  match H.find_opt t.groups k with Some g -> g.rows | None -> [||]
+  match H.find_opt t k with Some g -> g.rows | None -> [||]
 
 let group_count t k =
   Obs.tick c_probes;
-  match H.find_opt t.groups k with Some g -> g.total | None -> 0
+  match H.find_opt t k with Some g -> g.total | None -> 0
 
 let max_group_count t =
-  H.fold (fun _ g acc -> Count.max g.total acc) t.groups Count.zero
-
-let iter_groups f t = H.iter (fun k g -> f k g.rows) t.groups
+  H.fold (fun _ g acc -> Count.max g.total acc) t Count.zero

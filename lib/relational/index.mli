@@ -10,9 +10,6 @@ val build : key:Schema.t -> Relation.t -> t
 (** Raises {!Errors.Schema_error} if [key] is not a subset of the
     relation's schema. An empty [key] puts every row in one group. *)
 
-val key_schema : t -> Schema.t
-val source_schema : t -> Schema.t
-
 val lookup : t -> Tuple.t -> (Tuple.t * Count.t) array
 (** Rows (full tuples of the source relation) whose key projection equals
     the given key tuple; [[||]] if none. The array is owned by the index:
@@ -23,6 +20,4 @@ val group_count : t -> Tuple.t -> Count.t
 
 val max_group_count : t -> Count.t
 (** Largest group multiplicity — [mf] over the key schema. 0 if empty. *)
-
-val iter_groups : (Tuple.t -> (Tuple.t * Count.t) array -> unit) -> t -> unit
 

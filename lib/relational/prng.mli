@@ -36,8 +36,5 @@ val uniform : t -> float
 
 val bool : t -> bool
 
-val choose : t -> 'a array -> 'a
-(** Uniform element. Raises [Invalid_argument] on an empty array. *)
-
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher–Yates. *)

@@ -10,7 +10,6 @@ let of_list attrs =
     attrs;
   Array.of_list attrs
 
-let of_attrs = of_list
 let empty = [||]
 let attrs s = Array.to_list s
 let arity = Array.length

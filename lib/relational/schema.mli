@@ -10,9 +10,6 @@ type t
 val of_list : Attr.t list -> t
 (** Raises {!Errors.Schema_error} on duplicate attribute names. *)
 
-val of_attrs : string list -> t
-(** Alias of {!of_list} for literal schemas in tests and examples. *)
-
 val empty : t
 val attrs : t -> Attr.t list
 val arity : t -> int

@@ -68,17 +68,18 @@ let max_frequency_memo cq db =
               let sl = plan_schema cq l and sr = plan_schema cq r in
               let join_attrs = Schema.inter sl sr in
               let pinned = Schema.union join_attrs attrs in
-              let bound_left =
-                Count.mul_tracked
-                  (mf l (Schema.inter attrs sl))
-                  (mf r (Schema.inter pinned sr))
+              let left =
+                (mf l (Schema.inter attrs sl), mf r (Schema.inter pinned sr))
+              and right =
+                (mf r (Schema.inter attrs sr), mf l (Schema.inter pinned sl))
               in
-              let bound_right =
-                Count.mul_tracked
-                  (mf r (Schema.inter attrs sr))
-                  (mf l (Schema.inter pinned sl))
+              (* Pick the smaller orientation untracked, so only the one
+                 the bound keeps can tick a saturation. *)
+              let product (a, b) = Count.mul a b in
+              let a, b =
+                if product left <= product right then left else right
               in
-              min bound_left bound_right
+              Count.mul_tracked a b
         in
         Hashtbl.replace memo key result;
         result

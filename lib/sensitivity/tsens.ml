@@ -65,6 +65,8 @@ type analysis = {
 let unit_relation =
   Relation.create ~schema:Schema.empty [ (Tuple.of_list [], Count.one) ]
 
+(* The attributes of an atom that occur in at least one other atom: the
+   schema of its multiplicity table. *)
 let shared_schema cq relation =
   Schema.restrict
     ~keep:(fun a -> List.length (Cq.atoms_with cq a) >= 2)

@@ -80,10 +80,6 @@ val multiplicity_table : analysis -> string -> Relation.t
     materializes the full cross product — as large as the relation's
     representative domain. *)
 
-val shared_schema : Cq.t -> string -> Schema.t
-(** The attributes of an atom that occur in at least one other atom — the
-    schema of its multiplicity table. *)
-
 val tuple_sensitivity : analysis -> string -> Tuple.t -> Count.t
 (** Sensitivity of one tuple (given over the relation's full atom
     schema): its multiplicity-table entry, or 0 when the shared-attribute

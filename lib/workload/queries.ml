@@ -130,8 +130,6 @@ let facebook_plans =
 (* ------------------------------------------------------------------ *)
 (* Instances *)
 
-let tpch_database ?seed ~scale () = Tpch.generate ?seed ~scale ()
-
 let facebook_database data cq =
   let edge i x y = (Printf.sprintf "R%d" (i + 1), Facebook.edge_relation data i ~x ~y) in
   match Cq.name cq with

@@ -48,9 +48,6 @@ val facebook_plans : Ghd.t list
 
 (** {1 Instances} *)
 
-val tpch_database : ?seed:int -> scale:float -> unit -> Database.t
-(** All eight TPC-H tables; every TPC-H query runs against it. *)
-
 val facebook_database : Facebook.data -> Cq.t -> Database.t
 (** Binds the generated edge tables (and the triangle table for the star query) to
     the attribute names of one Facebook query. Raises [Invalid_argument]

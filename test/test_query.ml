@@ -1,5 +1,5 @@
 (* Tests for conjunctive queries, GYO decomposition, join trees, GHDs,
-   classification, and the datalog parser. *)
+   classification, the shared lexer and the datalog parser. *)
 
 open Tsens_relational
 open Tsens_query
@@ -474,6 +474,99 @@ let test_parser_integer_out_of_range () =
   | Error (_, None) -> Alcotest.fail "error without a span"
   | Ok _ -> Alcotest.fail "accepted"
 
+(* ------------------------------------------------------------------ *)
+(* Lexer *)
+
+(* Any input lexes to tokens whose spans lie inside it, non-empty, in
+   increasing order and without overlap, or fails with a span inside
+   it. *)
+let prop_lexer_fuzz =
+  let inside text (span : Srcspan.t) =
+    0 <= span.start_ofs
+    && span.start_ofs <= span.stop_ofs
+    && span.stop_ofs <= String.length text
+  in
+  Tgen.qtest ~count:500 "fuzzed input: ordered token spans or positioned error"
+    (Tgen.fuzz_text_gen ~prefix:"Q(*) :- "
+       [
+         "Q"; "R1"; "x'"; "SELECT"; "("; ")"; "*"; ","; ":-"; ":"; "-";
+         "."; ";"; "%c\n"; "--c\n"; "="; "!="; "<>"; "!"; "<"; "<=";
+         ">"; ">="; "'s t'"; "'"; "0"; "-7"; "99999999999999999999";
+       ])
+    (Printf.sprintf "%S")
+    (fun text ->
+      match Lexer.tokenize text with
+      | exception Lexer.Syntax_error (_, span) -> inside text span
+      | tokens ->
+          let rec ordered prev = function
+            | [] -> true
+            | (_, (span : Srcspan.t)) :: rest ->
+                inside text span
+                && prev <= span.start_ofs
+                && span.start_ofs < span.stop_ofs
+                && ordered span.stop_ofs rest
+          in
+          ordered 0 tokens)
+
+(* Both comment styles, [<>] and primed identifiers work in both
+   syntaxes. *)
+let test_lexer_shared_syntax () =
+  let same_query name text reference =
+    Alcotest.(check bool) name true
+      (Cq.equal (Parser.parse text) (Parser.parse reference))
+  in
+  same_query "datalog -- comment" "Q(*) :- R1(A,B), -- then R2\n R2(B,C)."
+    "Q(*) :- R1(A,B), R2(B,C).";
+  let primed = Parser.parse "Q'(*) :- R'(A',B), S(B)." in
+  Alcotest.(check (list string)) "datalog primed identifiers" [ "A'"; "B" ]
+    (Schema.attrs (Cq.schema_of primed "R'"));
+  let _, cs = Parser.parse_full "Q(*) :- R(A), A <> 3" in
+  Alcotest.(check string) "datalog <>" "A != 3"
+    (Format.asprintf "%a" Constraints.pp_list cs);
+  let catalog = [ ("R'", [ "A'"; "B" ]); ("S", [ "B" ]) ] in
+  let t =
+    Sql.translate ~catalog
+      "SELECT COUNT(*) % primed names\nFROM R' r, S WHERE r.B = S.B AND \
+       r.A' <> 1"
+  in
+  Alcotest.(check (list string)) "sql % comment, primed tables" [ "R'"; "S" ]
+    (Cq.relation_names t.Sql.query);
+  Alcotest.(check string) "sql primed column" "A' != 1"
+    (Format.asprintf "%a" Constraints.pp_list t.Sql.constraints)
+
+(* The lexical errors, each with its message and span, through both
+   front ends. *)
+let test_lexer_errors () =
+  let cases =
+    [
+      ("A ! 3", "expected '=' after '!'", "!");
+      ("A : 3", "expected '-' after ':'", ":");
+      ("A = 'oops", "unterminated string literal", "'oops");
+      ( "A < 99999999999999999999",
+        "integer 99999999999999999999 is out of range",
+        "99999999999999999999" );
+    ]
+  in
+  List.iter
+    (fun (cond, message, spanned) ->
+      List.iter
+        (fun (front, text, result) ->
+          match result with
+          | Error (msg, Some span) ->
+              Alcotest.(check string) (front ^ " message: " ^ cond) message msg;
+              Alcotest.(check string)
+                (front ^ " span: " ^ cond)
+                spanned (Srcspan.extract text span)
+          | Error (_, None) -> Alcotest.failf "%s %s: no span" front cond
+          | Ok _ -> Alcotest.failf "%s %s: accepted" front cond)
+        (let datalog = "Q(*) :- R(A), " ^ cond
+         and sql = "SELECT COUNT(*) FROM R WHERE " ^ cond in
+         [
+           ("datalog", datalog, Result.map ignore (Parser.parse_raw datalog));
+           ("sql", sql, Result.map ignore (Sql.parse_from sql));
+         ]))
+    cases
+
 let test_constraints_holds () =
   let open Constraints in
   let v = Value.int in
@@ -592,6 +685,12 @@ let () =
           Alcotest.test_case "integer out of range" `Quick
             test_parser_integer_out_of_range;
           prop_parser_fuzz;
+        ] );
+      ( "lexer",
+        [
+          prop_lexer_fuzz;
+          Alcotest.test_case "shared syntax" `Quick test_lexer_shared_syntax;
+          Alcotest.test_case "errors" `Quick test_lexer_errors;
         ] );
       ( "constraints",
         [

@@ -893,6 +893,30 @@ let test_kernel_saturation_ticks () =
   check_count "elastic max-frequency product" (fun () ->
       (Elastic.local_sensitivity cq_elastic db_elastic)
         .Sens_types.local_sensitivity);
+  (* A max-frequency bound keeps the smaller of a join's two
+     orientations; the one it discards may saturate but must not tick.
+     For U under ((R ⋈ S) ⋈ U), mf(R ⋈ S) on A is R's 2 times S's
+     [half] on B (saturated) one way, and S's size [half] times R's 1 on
+     (A, B) the other. *)
+  let discarded, ticks =
+    saturations (fun () ->
+        Elastic.relation_sensitivity
+          (Cq.make [ ("R", [ "A"; "B" ]); ("S", [ "B"; "C" ]); ("U", [ "A" ]) ])
+          (Database.of_list
+             [
+               ( "R",
+                 Relation.create ~schema:(schema [ "A"; "B" ])
+                   [ (tup [ v 1; v 1 ], 1); (tup [ v 1; v 2 ], 1) ] );
+               ( "S",
+                 Relation.create ~schema:(schema [ "B"; "C" ])
+                   [ (tup [ v 1; v 1 ], half) ] );
+               single "U" [ (tup [ v 1 ], 1) ];
+             ])
+          Elastic.(Join (Join (Leaf "R", Leaf "S"), Leaf "U"))
+          "U")
+  in
+  Alcotest.(check int) "elastic keeps the smaller orientation" half discarded;
+  Alcotest.(check int) "elastic discarded orientation does not tick" 0 ticks;
   check_count "total tuples" (fun () ->
       Database.total_tuples
         (Database.of_list
