@@ -1,6 +1,7 @@
 (* Intermediate-size report: the topjoin/botjoin and multiplicity-table
    sizes behind every paper query — the quantities that explain Figure
-   7's q3 blow-up and why factored tables keep q1 linear. *)
+   7's q3 blow-up, why factored tables keep q1 linear and how blocks
+   keep q3's Orders table small. *)
 
 open Tsens_sensitivity
 open Tsens_workload
@@ -24,7 +25,7 @@ let report label cq plans skip db =
        (fun ts ->
          [
            ts.Tsens.table_relation;
-           (if ts.Tsens.factored then "factored" else "dense");
+           Tsens.representation ts;
            string_of_int ts.Tsens.table_rows;
          ])
        table_stats)

@@ -119,20 +119,27 @@ let handle_errors f =
   | Errors.Schema_error m | Errors.Data_error m ->
       Printf.eprintf "error: %s\n" m;
       1
-  | Parser.Parse_error m | Sql.Sql_error m ->
+  | Parser.Parse_error m | Sql.Sql_error (Sql.Syntax m) ->
       Printf.eprintf "parse error: %s\n" m;
       1
   | Invalid_argument m ->
       Printf.eprintf "error: %s\n" m;
       1
 
+(* A SQL query's translation. A semantic error is reported like a
+   datalog query's, as an [error:] with its position. *)
+let translate_sql ~catalog query =
+  let source = query_text query in
+  match Sql.translate ~catalog source with
+  | t -> t
+  | exception Sql.Sql_error (Sql.Semantic _ as e) ->
+      Errors.schema_errorf "%s" (Sql.message source e)
+
 (* Query + constraints + matching database, from either surface syntax. *)
 let prepare ~sql query data =
   if sql then begin
     let db = database_of_dir data in
-    let t =
-      Sql.translate ~catalog:(Sql.catalog_of_database db) (query_text query)
-    in
+    let t = translate_sql ~catalog:(Sql.catalog_of_database db) query in
     (* The query's relations only, as the datalog path loads. *)
     let tables = Cq.relation_names t.Sql.query in
     let db =
@@ -218,7 +225,7 @@ let run_check query sql data workload private_rel epsilon threshold_fraction
               match catalog with
               | Some catalog -> Analyzer.check_sql ~catalog ?stats ?dp source
               | None ->
-                  raise (Sql.Sql_error "--sql check needs --data for the catalog")
+                  invalid_arg "--sql check needs --data for the catalog"
             else Analyzer.check_source ?catalog ?stats ?dp source
           in
           [ (Some source, report) ]
@@ -229,9 +236,6 @@ let run_check query sql data workload private_rel epsilon threshold_fraction
   with
   | Errors.Schema_error m | Errors.Data_error m ->
       Printf.eprintf "error: %s\n" m;
-      2
-  | Sql.Sql_error m ->
-      Printf.eprintf "parse error: %s\n" m;
       2
   | Invalid_argument m ->
       Printf.eprintf "error: %s\n" m;
@@ -319,10 +323,10 @@ let run_classify query sql data =
           match data with
           | Some dir ->
               let catalog = Sql.catalog_of_database (database_of_dir dir) in
-              let t = Sql.translate ~catalog (query_text query) in
+              let t = translate_sql ~catalog query in
               (t.Sql.query, t.Sql.constraints)
           | None ->
-              raise (Sql.Sql_error "--sql classification needs --data for the catalog")
+              invalid_arg "--sql classification needs --data for the catalog"
         end
         else load_query query
       in

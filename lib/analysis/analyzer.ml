@@ -427,9 +427,14 @@ let check_sql ~catalog ?stats ?dp input =
       if surface <> [] then Diagnostic.report (surface @ dp_only ())
       else begin
         match Sql.translate ~catalog input with
-        | exception Sql.Sql_error msg ->
+        | exception Sql.Sql_error e ->
+            let msg, span =
+              match e with
+              | Sql.Semantic (msg, span) -> (msg, Some span)
+              | Sql.Syntax msg -> (msg, whole)
+            in
             Diagnostic.report
-              (Diagnostic.error ~code:"TS001" ?span:whole msg :: dp_only ())
+              (Diagnostic.error ~code:"TS001" ?span msg :: dp_only ())
         | t ->
             let span_of relation =
               List.find_map

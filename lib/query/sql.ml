@@ -1,8 +1,15 @@
 open Tsens_relational
 
-exception Sql_error of string
+type error = Syntax of string | Semantic of string * Srcspan.t
 
-let fail fmt = Format.kasprintf (fun s -> raise (Sql_error s)) fmt
+exception Sql_error of error
+
+let fail span fmt =
+  Format.kasprintf (fun s -> raise (Sql_error (Semantic (s, span)))) fmt
+
+let message input = function
+  | Syntax m -> m
+  | Semantic (m, span) -> Lexer.message input (m, Some span)
 
 let catalog_of_database db =
   Database.fold
@@ -143,36 +150,41 @@ let translate ~catalog input =
   let from, conds =
     match Lexer.run parse_query input with
     | Ok parsed -> parsed
-    | Error e -> raise (Sql_error (Lexer.message input e))
+    | Error e -> raise (Sql_error (Syntax (Lexer.message input e)))
   in
-  let conds = List.map fst conds in
   (* Resolve tables and aliases. *)
   let seen_aliases = Hashtbl.create 8 and seen_tables = Hashtbl.create 8 in
   let aliases =
     List.map
-      (fun { table; alias; _ } ->
+      (fun { table; alias; item_span } ->
         (match List.assoc_opt table catalog with
         | Some _ -> ()
-        | None -> fail "unknown table %s" table);
+        | None -> fail item_span "unknown table %s" table);
         if Hashtbl.mem seen_tables table then
-          fail "table %s appears twice: self-joins are not supported" table;
-        if Hashtbl.mem seen_aliases alias then fail "duplicate alias %s" alias;
+          fail item_span "table %s appears twice: self-joins are not supported"
+            table;
+        if Hashtbl.mem seen_aliases alias then
+          fail item_span "duplicate alias %s" alias;
         Hashtbl.add seen_tables table ();
         Hashtbl.add seen_aliases alias ();
         (alias, table))
       from
   in
+  let item_span alias =
+    (List.find (fun item -> String.equal item.alias alias) from).item_span
+  in
   let columns_of alias =
     let table = List.assoc alias aliases in
     List.assoc table catalog
   in
-  let resolve { alias; column } =
+  (* A column reference of the condition at [span]. *)
+  let resolve span { alias; column } =
     match alias with
     | Some a ->
-        if not (List.mem_assoc a aliases) then fail "unknown alias %s" a;
+        if not (List.mem_assoc a aliases) then fail span "unknown alias %s" a;
         if not (List.mem column (columns_of a)) then
-          fail "table %s (alias %s) has no column %s" (List.assoc a aliases) a
-            column;
+          fail span "table %s (alias %s) has no column %s"
+            (List.assoc a aliases) a column;
         (a, column)
     | None -> (
         let homes =
@@ -180,9 +192,10 @@ let translate ~catalog input =
         in
         match homes with
         | [ (a, _) ] -> (a, column)
-        | [] -> fail "no table has a column %s" column
+        | [] -> fail span "no table has a column %s" column
         | _ ->
-            fail "column %s is ambiguous (qualify it with an alias)" column)
+            fail span "column %s is ambiguous (qualify it with an alias)"
+              column)
   in
   (* Union-find over column references, seeded by every column. *)
   let parent = ref NodeMap.empty in
@@ -206,8 +219,8 @@ let translate ~catalog input =
     aliases;
   List.iter
     (function
-      | Join (a, b) -> union (resolve a) (resolve b)
-      | Select _ -> ())
+      | Join (a, b), span -> union (resolve span a) (resolve span b)
+      | Select _, _ -> ())
     conds;
   (* Group into classes. *)
   let classes = Hashtbl.create 16 in
@@ -275,7 +288,8 @@ let translate ~catalog input =
             (* Every class is seeded with at least the node it was created
                for; an empty member list would be a union-find bookkeeping
                bug, so name the root to make it debuggable. *)
-            fail "internal: empty column equivalence class rooted at %s.%s"
+            Printf.ksprintf failwith
+              "internal: empty column equivalence class rooted at %s.%s"
               (fst root) (snd root)
       in
       Hashtbl.replace name_of_root root (fresh base))
@@ -292,7 +306,7 @@ let translate ~catalog input =
            schema (R.a = R.b): reject clearly. *)
         let dedup = List.sort_uniq String.compare vars in
         if List.length dedup <> List.length vars then
-          fail
+          fail (item_span alias)
             "conditions equate two columns of table %s; per-table column \
              equalities are not supported"
             table;
@@ -303,9 +317,9 @@ let translate ~catalog input =
   let constraints =
     List.filter_map
       (function
-        | Select (col, op, value) ->
-            Some { Constraints.var = var_of (resolve col); op; value }
-        | Join _ -> None)
+        | Select (col, op, value), span ->
+            Some { Constraints.var = var_of (resolve span col); op; value }
+        | Join _, _ -> None)
       conds
   in
   let renamings =

@@ -36,9 +36,17 @@
 
 open Tsens_relational
 
-exception Sql_error of string
-(** Messages carry the offending position ([line:col]) when the failure
-    maps to a source location. *)
+type error =
+  | Syntax of string  (** the message, ending in [at line:col] *)
+  | Semantic of string * Srcspan.t
+      (** the message, and the span of the FROM item or WHERE condition
+          at fault *)
+
+exception Sql_error of error
+
+val message : string -> error -> string
+(** Renders an error within its source: a semantic error as [msg at
+    line:col]. *)
 
 val catalog_of_database : Database.t -> (string * string list) list
 (** Relation name → column names, from a live database. *)
@@ -66,8 +74,10 @@ type translation = {
 
 val translate :
   catalog:(string * string list) list -> string -> translation
-(** Raises {!Sql_error} on syntax errors, unknown tables/columns,
-    ambiguous bare column references, or self-joins. Join variables keep
+(** Raises {!Sql_error} on syntax errors, and with a [Semantic] error
+    on unknown tables, aliases or columns, ambiguous bare column
+    references, duplicate aliases, self-joins or two equated columns of
+    one table. Join variables keep
     the column name when that is unambiguous; otherwise they are prefixed
     with the alias, and the database must be passed through {!bind}
     before querying. *)

@@ -39,7 +39,14 @@ let equal a b = Array.length a = Array.length b && Array.for_all2 Attr.equal a b
 let equal_as_sets a b = subset a b && subset b a
 let disjoint a b = not (Array.exists (fun x -> mem x b) a)
 
-let positions ~sub super = Array.map (fun a -> index a super) sub
+(* A loop rather than [Array.map], so that a call allocates only its
+   result: point lookups call this once per probe. *)
+let positions ~sub super =
+  let p = Array.make (Array.length sub) 0 in
+  for i = 0 to Array.length sub - 1 do
+    p.(i) <- index sub.(i) super
+  done;
+  p
 
 let rename mapping s =
   let image a =

@@ -3,18 +3,30 @@ open Tsens_query
 
 type selection = string -> Schema.t -> Tuple.t -> bool
 
-(* A multiplicity table: the entry at τ is factor × ∏ part counts at
-   τ's projections. When the parts join as a pure cross product
-   (path-query endpoints, star centres) they are kept apart, which is
-   what keeps q1-style tables from materializing the whole
-   representative domain (|Orders| × |Customer| rows). Otherwise the
-   table has one part, the grouped join itself. [tail] bounds, before
-   [factor], every entry that reads a part off its explicit rows; it is
-   0 unless the pass compressed a part (see [intermediate]). *)
+(* A multiplicity table is a list of disjoint blocks: every entry of the
+   table lies in exactly one block. A block's entry at τ is [factor] ×
+   ∏ its parts' counts at τ's projections, and its parts' schemas cover
+   the table's schema disjointly. Parts that join as a pure cross
+   product (path-query endpoints, star centres) stay apart, which keeps
+   q1-style tables from materializing the whole representative domain
+   (|Orders| × |Customer| rows). When the parts carry attributes S
+   outside the table's schema, and one part's table attributes
+   determine S in the data, the table splits into one block per
+   S-value s, each holding the parts restricted to s: q3's Orders table
+   T(CK, OK) = Σ_NK ⊤(NK, OK) · ⊥_N(NK) · Customer(NK, CK) becomes one
+   block per nation, since CK → NK. Otherwise the table is one block
+   with one part, the grouped join. [key] is the determining part's
+   table attributes and [block_of] maps their values to blocks (one
+   block: the empty key). [tail] bounds every entry that reads a part
+   off its explicit rows; it is 0 unless the pass compressed a part (see
+   [intermediate]). *)
+type block = { parts : Relation.t list; factor : Count.t }
+
 type table = {
   schema : Schema.t;
-  parts : Relation.t list;
-  factor : Count.t;
+  blocks : block array;
+  key : Schema.t;
+  block_of : int Tuple.Tbl.t;
   tail : Count.t;
 }
 
@@ -26,10 +38,25 @@ type intermediate = { rel : Relation.t; default : Count.t }
 
 let exact rel = { rel; default = Count.zero }
 
-let factored table = List.compare_length_with table.parts 1 > 0
+type kind = Dense | Factored | Blocked
 
+let kind table =
+  match table.blocks with
+  | [||] | [| { parts = [ _ ]; _ } |] -> Dense
+  | [| _ |] -> Factored
+  | _ -> Blocked
+
+(* Distinct rows held by the parts. A part without S is the same
+   relation in every block, and is counted once. *)
 let stored_rows table =
-  List.fold_left (fun acc p -> acc + Relation.distinct_count p) 0 table.parts
+  let rows = List.fold_left (fun n p -> n + Relation.distinct_count p) in
+  match Array.to_list table.blocks with
+  | [] -> 0
+  | first :: rest ->
+      List.fold_left
+        (fun n b ->
+          rows n (List.filter (fun p -> not (List.memq p first.parts)) b.parts))
+        (rows 0 first.parts) rest
 
 type node_stat = {
   bag : string;
@@ -44,10 +71,12 @@ let c_top_rows = Obs.counter "tsens.topjoin_rows"
 let c_table_rows = Obs.counter "tsens.table_rows_stored"
 let c_factored = Obs.counter "tsens.tables_factored"
 let c_dense = Obs.counter "tsens.tables_dense"
+let c_blocked = Obs.counter "tsens.tables_blocked"
 
 type table_stat = {
   table_relation : string;
   factored : bool;
+  blocks : int;
   table_rows : int;
 }
 
@@ -75,30 +104,50 @@ let shared_schema cq relation =
 (* ------------------------------------------------------------------ *)
 (* Table representation operations *)
 
-(* Entry lookup from a tuple over the relation's full atom schema. *)
-let table_entry atom_schema table tuple =
-  List.fold_left
-    (fun acc part ->
+(* [acc] times each part's count at the projection of [tuple], a tuple
+   over [atom_schema]. A recursion rather than a fold: no closure per
+   point lookup. *)
+let rec parts_entry atom_schema tuple acc = function
+  | [] -> acc
+  | part :: parts ->
       let positions =
         Schema.positions ~sub:(Relation.schema part) atom_schema
       in
-      Count.mul_tracked acc
-        (Relation.count_of (Tuple.project positions tuple) part))
-    table.factor table.parts
+      parts_entry atom_schema tuple
+        (Count.mul_tracked acc
+           (Relation.count_of (Tuple.project positions tuple) part))
+        parts
+
+(* Entry lookup from a tuple over the relation's full atom schema: the
+   key's values pick the block, whose parts give the entry. *)
+let table_entry atom_schema table tuple =
+  let key =
+    Tuple.project (Schema.positions ~sub:table.key atom_schema) tuple
+  in
+  match Tuple.Tbl.find table.block_of key with
+  | exception Not_found -> Count.zero
+  | i ->
+      let { parts; factor } = table.blocks.(i) in
+      parts_entry atom_schema tuple factor parts
 
 (* Heaviest first, ties broken by the smallest tuple. *)
 let heavier (t1, c1) (t2, c2) =
   match Count.compare c2 c1 with 0 -> Tuple.compare t1 t2 | c -> c
 
-(* [heavier] for the rows of a factored table's part, with ties broken
-   by the part's columns in the table's column order — the order the
-   combined rows are ranked in. *)
-let heavier_within schema part =
-  let own = Relation.schema part in
-  let in_table_order = Schema.restrict ~keep:(fun a -> Schema.mem a own) schema in
-  if Schema.equal in_table_order own then heavier
+(* [heavier] for the rows of a block's part whose column [j] lands at
+   [dest.(j)] of the table's rows, with ties broken by the part's
+   columns in the table's column order — the order the combined rows
+   are ranked in. *)
+let heavier_within dest =
+  let n = Array.length dest in
+  let in_order = ref true in
+  for j = 1 to n - 1 do
+    if dest.(j - 1) > dest.(j) then in_order := false
+  done;
+  if !in_order then heavier
   else
-    let positions = Schema.positions ~sub:in_table_order own in
+    let positions = Array.init n Fun.id in
+    Array.sort (fun a b -> Int.compare dest.(a) dest.(b)) positions;
     fun (t1, c1) (t2, c2) ->
       match Count.compare c2 c1 with
       | 0 -> Tuple.compare (Tuple.project positions t1) (Tuple.project positions t2)
@@ -144,10 +193,10 @@ let top_rows ?(order = heavier) k rows =
     heap
   end
 
-(* Entries of a table as a sequence, heaviest first (ties by tuple
+(* Entries of a block as a sequence, heaviest first (ties by tuple
    order); with [~limit:k] only the first [k] are guaranteed. Index
    combinations of the parts are enumerated best-first with a heap,
-   never materializing the cross product; on a one-part table the heap
+   never materializing the cross product; on a one-part block the heap
    holds one entry and the scan reads the part's top rows in order. A
    part's rows are ranked with ties in the table's column order, so a
    combination that is nowhere further along the parts than another
@@ -156,64 +205,58 @@ let top_rows ?(order = heavier) k rows =
    Reaching index [j] of a part takes [j] earlier pops along that part,
    so the first [k] pops never look past a part's first [k] rows, and
    truncating each part to them changes none of those pops. *)
-let table_rows_desc ?limit { schema; parts; factor; _ } =
+let block_rows_desc ?limit schema { parts; factor } =
   if Count.equal factor Count.zero then Seq.empty
   else
+    let parts = Array.of_list parts in
+    (* Column [j] of part [i] lands at [dest.(i).(j)] of a row. The parts
+       cover the table's schema, so every position is filled. *)
+    let dest =
+      Array.map
+        (fun p -> Schema.positions ~sub:(Relation.schema p) schema)
+        parts
+    in
     let part_rows =
-      List.map
-        (fun p ->
+      Array.mapi
+        (fun i p ->
           let rows = Relation.rows p in
-          top_rows ~order:(heavier_within schema p)
+          top_rows ~order:(heavier_within dest.(i))
             (Option.value limit ~default:(Array.length rows))
             rows)
         parts
     in
-    if List.exists (fun a -> Array.length a = 0) part_rows then Seq.empty
+    if Array.exists (fun a -> Array.length a = 0) part_rows then Seq.empty
     else begin
-      let part_rows = Array.of_list part_rows in
       let k = Array.length part_rows in
-      (* A row is its parts' rows laid side by side, then permuted
-         into the table's column order. The parts cover the table's
-         schema, so every position exists. *)
-      let positions =
-        Schema.positions ~sub:schema
-          (List.fold_left
-             (fun acc p -> Schema.union acc (Relation.schema p))
-             Schema.empty parts)
-      in
+      let arity = Schema.arity schema in
       let combo indices =
-        let row =
-          Tuple.project positions
-            (Array.concat
-               (List.init k (fun i -> fst part_rows.(i).(indices.(i)))))
-        in
-        let count =
-          Array.to_list
-            (Array.mapi (fun i j -> snd part_rows.(i).(j)) indices)
-          |> List.fold_left Count.mul_tracked factor
-        in
-        (row, count)
+        let row = Array.make arity (Value.int 0) in
+        let count = ref factor in
+        for i = 0 to k - 1 do
+          let tuple, c = part_rows.(i).(indices.(i)) in
+          let d = dest.(i) in
+          for j = 0 to Array.length d - 1 do
+            row.(d.(j)) <- tuple.(j)
+          done;
+          count := Count.mul_tracked !count c
+        done;
+        (row, !count)
       in
-      let cmp (c1, t1, _) (c2, t2, _) =
-        (* max-heap: heaviest first, then smallest tuple *)
-        match Count.compare c1 c2 with
-        | 0 -> Tuple.compare t2 t1
-        | c -> c
-      in
-      let push indices heap =
-        let row, count = combo indices in
-        Heap.insert (count, row, indices) heap
-      in
+      (* max-heap: heaviest first, then smallest tuple *)
+      let cmp (e1, _) (e2, _) = heavier e2 e1 in
+      let push indices heap = Heap.insert (combo indices, indices) heap in
       let rec next heap () =
         match Heap.pop heap with
         | None -> Seq.Nil
-        | Some ((count, row, indices), heap) ->
+        | Some ((entry, indices), heap) ->
             (* Successors advance one coordinate at or after the last
                nonzero one, so a combination's only parent is itself
                with that coordinate one lower: each is pushed once, by
                a parent that ranks no lower. *)
             let last = ref 0 in
-            Array.iteri (fun i j -> if j > 0 then last := i) indices;
+            for i = 0 to k - 1 do
+              if indices.(i) > 0 then last := i
+            done;
             let heap = ref heap in
             for i = !last to k - 1 do
               if indices.(i) + 1 < Array.length part_rows.(i) then begin
@@ -222,25 +265,96 @@ let table_rows_desc ?limit { schema; parts; factor; _ } =
                 heap := push succ !heap
               end
             done;
-            Seq.Cons ((row, count), next !heap)
+            Seq.Cons (entry, next !heap)
       in
       next (push (Array.make k 0) (Heap.empty ~cmp))
     end
 
-let materialize_table { schema; parts; factor; _ } =
+(* Entries of a table, heaviest first: a k-way merge of its blocks'
+   sequences in [heavier] order (a table of one block is that block's
+   sequence). The blocks hold disjoint rows, so the merge is the order
+   of the table as one sorted relation, ties included, and its first
+   [k] rows read no block past its first [k]. A block enters the merge
+   unexpanded, at the count of its head (its factor times its parts'
+   largest counts), and is expanded into its sequence only when that
+   count reaches the top. At equal counts an unexpanded block ranks
+   first, so no row is yielded while a block that may hold a smaller
+   tuple of that count is still unexpanded. *)
+type merged =
+  | Unexpanded of Count.t * block
+  | Head of (Tuple.t * Count.t) * (Tuple.t * Count.t) Seq.t
+
+let table_rows_desc ?limit (table : table) =
+  match table.blocks with
+  | [| b |] -> block_rows_desc ?limit table.schema b
+  | blocks ->
+      let count = function Unexpanded (c, _) | Head ((_, c), _) -> c in
+      let unexpanded = function Unexpanded _ -> true | Head _ -> false in
+      let cmp a b =
+        match (a, b) with
+        | Head (e1, _), Head (e2, _) -> heavier e2 e1
+        | _ -> (
+            match Count.compare (count a) (count b) with
+            | 0 -> Bool.compare (unexpanded a) (unexpanded b)
+            | c -> c)
+      in
+      let add seq heap =
+        match seq () with
+        | Seq.Nil -> heap
+        | Seq.Cons (e, rest) -> Heap.insert (Head (e, rest)) heap
+      in
+      let rec next heap () =
+        match Heap.pop heap with
+        | None -> Seq.Nil
+        | Some (Unexpanded (_, b), heap) ->
+            next (add (block_rows_desc ?limit table.schema b) heap) ()
+        | Some (Head (e, rest), heap) ->
+            Seq.Cons (e, fun () -> next (add rest heap) ())
+      in
+      let largest part =
+        Relation.fold (fun _ c acc -> Count.max c acc) part Count.zero
+      in
+      next
+        (Array.fold_left
+           (fun heap b ->
+             let head =
+               List.fold_left
+                 (fun acc p -> Count.mul acc (largest p))
+                 b.factor b.parts
+             in
+             if Count.equal head Count.zero then heap
+             else Heap.insert (Unexpanded (head, b)) heap)
+           (Heap.empty ~cmp) blocks)
+
+let materialize_block schema { parts; factor } =
   if Count.equal factor Count.zero then Relation.empty schema
   else
     let joined =
       match parts with
-      | [ part ] -> part
+      | [ part ] -> Relation.reorder schema part
       | parts -> Join.join_project_all ~group:schema (unit_relation :: parts)
     in
     if Count.equal factor Count.one then joined
     else Relation.scale factor joined
 
-let scale_table factor table =
+(* The blocks' rows are disjoint, so their union is a concatenation. *)
+let materialize_table table =
+  Array.to_list table.blocks
+  |> List.map (fun b -> Relation.rows (materialize_block table.schema b))
+  |> Array.concat
+  |> Relation.of_grouped table.schema
+
+let scale_table factor (table : table) =
   if Count.equal factor Count.one then table
-  else { table with factor = Count.mul_tracked table.factor factor }
+  else
+    {
+      table with
+      blocks =
+        Array.map
+          (fun b -> { b with factor = Count.mul_tracked b.factor factor })
+          table.blocks;
+      tail = Count.mul_tracked table.tail factor;
+    }
 
 (* An intermediate as the input of a join at a bag whose relation is
    [anchor]: its explicit rows, and its default at every key of the
@@ -277,6 +391,144 @@ let tail_bound inputs =
         |> List.fold_left Count.mul_tracked i.default)
       inputs
     |> List.fold_left Count.max Count.zero
+
+(* ------------------------------------------------------------------ *)
+(* Building a table from the parts of its grouped join *)
+
+(* A table of one block. *)
+let single schema parts =
+  let block_of = Tuple.Tbl.create 1 in
+  Tuple.Tbl.replace block_of [||] 0;
+  {
+    schema;
+    blocks = [| { parts; factor = Count.one } |];
+    key = Schema.empty;
+    block_of;
+    tail = Count.zero;
+  }
+
+(* Whether [part] covers [s] and its attributes in [schema] determine
+   [s] in its rows: one hash pass, stopped at the first conflict. *)
+let determines schema s part =
+  let own = Relation.schema part in
+  Schema.subset s own
+  &&
+  let kp = Schema.positions ~sub:(Schema.inter own schema) own in
+  let sp = Schema.positions ~sub:s own in
+  let rows = Relation.rows part in
+  let seen = Tuple.Tbl.create (Array.length rows) in
+  Array.for_all
+    (fun (t, _) ->
+      let k = Tuple.project kp t and v = Tuple.project sp t in
+      match Tuple.Tbl.find_opt seen k with
+      | Some v' -> Tuple.equal v v'
+      | None ->
+          Tuple.Tbl.replace seen k v;
+          true)
+    rows
+
+(* [part] restricted to an S-value and projected off [s], as a function
+   of the S-value (over [s]); a part without S is the same in every
+   block. *)
+let slicer s part =
+  let schema = Relation.schema part in
+  let own = Schema.inter schema s in
+  if Schema.arity own = 0 then fun _ -> part
+  else begin
+    let rest = Schema.diff schema s in
+    let op = Schema.positions ~sub:own schema in
+    let rp = Schema.positions ~sub:rest schema in
+    let groups = Tuple.Tbl.create 16 in
+    Relation.iter
+      (fun t c ->
+        let k = Tuple.project op t in
+        let rows = Option.value ~default:[] (Tuple.Tbl.find_opt groups k) in
+        Tuple.Tbl.replace groups k ((Tuple.project rp t, c) :: rows))
+      part;
+    let at = Schema.positions ~sub:own s in
+    fun value ->
+      match Tuple.Tbl.find_opt groups (Tuple.project at value) with
+      | None -> Relation.empty rest
+      | Some rows -> Relation.of_grouped rest (Array.of_list (List.rev rows))
+  end
+
+(* One block per S-value of [keyed], whose attributes in [schema]
+   determine [s]. A part over S alone restricts to one count, which
+   joins the block's factor; a block with an empty part or a zero factor
+   holds no entry and is dropped. A key value's block is the one whose
+   slice of [keyed] holds it. *)
+let split schema s keyed parts =
+  let slicers = List.map (fun p -> (p, slicer s p)) parts in
+  let block_at value =
+    let nullary, parts =
+      List.partition
+        (fun r -> Schema.arity (Relation.schema r) = 0)
+        (List.map (fun (_, f) -> f value) slicers)
+    in
+    let factor =
+      List.fold_left
+        (fun acc r -> Count.mul_tracked acc (Relation.count_of [||] r))
+        Count.one nullary
+    in
+    if Count.equal factor Count.zero || List.exists Relation.is_empty parts
+    then None
+    else Some (value, { parts; factor })
+  in
+  let blocks =
+    Array.of_list
+      (List.filter_map
+         (fun (value, _) -> block_at value)
+         (Array.to_list (Relation.rows (Relation.project s keyed))))
+  in
+  let keys = List.assq keyed slicers in
+  let block_of = Tuple.Tbl.create (Relation.distinct_count keyed) in
+  Array.iteri
+    (fun i (value, _) ->
+      Relation.iter (fun k _ -> Tuple.Tbl.replace block_of k i) (keys value))
+    blocks;
+  {
+    schema;
+    blocks = Array.map snd blocks;
+    key = Schema.inter (Relation.schema keyed) schema;
+    block_of;
+    tail = Count.zero;
+  }
+
+(* The table over [schema] whose entries are the grouped join of
+   [parts]. With S the parts' attributes outside [schema], the parts
+   projected off S must cover [schema] disjointly for the table to
+   stay unjoined: then with S empty it is one block of the parts, and
+   otherwise it splits when some part determines S. Any other table is
+   one block holding the grouped join. *)
+let build_table schema parts =
+  let s =
+    Schema.diff
+      (List.fold_left
+         (fun acc p -> Schema.union acc (Relation.schema p))
+         Schema.empty parts)
+      schema
+  in
+  let disjoint_cover =
+    let rec check seen = function
+      | [] -> Schema.equal_as_sets seen schema
+      | p :: rest ->
+          let own = Schema.diff (Relation.schema p) s in
+          Schema.disjoint own seen && check (Schema.union seen own) rest
+    in
+    check Schema.empty parts
+  in
+  if
+    disjoint_cover && Schema.arity s = 0
+    && List.compare_length_with parts 1 > 0
+  then single schema parts
+  else
+    match
+      if disjoint_cover && Schema.arity s > 0 then
+        List.find_opt (determines schema s) parts
+      else None
+    with
+    | Some keyed -> split schema s keyed parts
+    | None -> single schema [ Join.join_project_all ~group:schema parts ]
 
 (* ------------------------------------------------------------------ *)
 (* The two-pass DP over one connected component's decomposition, with
@@ -351,7 +603,7 @@ let run_component ~step ?(skip = []) ghd db =
         (Relation.distinct_count (Hashtbl.find topjoins v).rel))
     (Join_tree.pre_order tree);
   (* Multiplicity tables: T^R = γ_shared(R) (⊤(v) ⋈ {⊥(c)} ⋈ co-members),
-     kept factored when the parts are a disjoint cover of shared(R). *)
+     kept as blocks of its parts where [build_table] can. *)
   let wanted =
     List.filter
       (fun r -> not (List.exists (String.equal r) skip))
@@ -373,33 +625,21 @@ let run_component ~step ?(skip = []) ghd db =
           List.map (Hashtbl.find botjoins) (Join_tree.children tree v)
         in
         let inputs = Hashtbl.find topjoins v :: (child_bots @ co_members) in
-        let parts = List.map (fun i -> i.rel) inputs in
-        let group = shared_schema cq relation in
-        let disjoint_cover =
-          let rec check seen = function
-            | [] -> Schema.equal_as_sets seen group
-            | p :: rest ->
-                let s = Relation.schema p in
-                Schema.subset s group
-                && Schema.disjoint s seen
-                && check (Schema.union seen s) rest
-          in
-          check Schema.empty parts
-        in
-        let parts =
-          if disjoint_cover && List.length parts >= 2 then parts
-          else [ Join.join_project_all ~group parts ]
-        in
         let table =
           {
-            schema = group;
-            parts;
-            factor = Count.one;
+            (build_table
+               (shared_schema cq relation)
+               (List.map (fun i -> i.rel) inputs))
+            with
             tail = tail_bound inputs;
           }
         in
         if Obs.enabled () then begin
-          Obs.tick (if factored table then c_factored else c_dense);
+          Obs.tick
+            (match kind table with
+            | Dense -> c_dense
+            | Factored -> c_factored
+            | Blocked -> c_blocked);
           Obs.add c_table_rows (stored_rows table)
         end;
         (relation, table))
@@ -502,12 +742,11 @@ let analyze_with ~step ?selection ?(skip = []) ?plans cq db =
   let bests =
     List.map
       (fun (relation, table) ->
-        let tail = Count.mul_tracked table.factor table.tail in
         match ranked_scan selection db cq relation table 1 with
-        | [] -> (relation, tail, None)
+        | [] -> (relation, table.tail, None)
         | (tuple, count) :: _ ->
             ( relation,
-              Count.max count tail,
+              Count.max count table.tail,
               Some (tuple, Cq.schema_of cq relation) ))
       tables
   in
@@ -588,12 +827,18 @@ let statistics a =
       (fun (relation, table) ->
         {
           table_relation = relation;
-          factored = factored table;
+          factored = kind table <> Dense;
+          blocks = Array.length table.blocks;
           table_rows = stored_rows table;
         })
       a.tables
   in
   (a.node_stats, table_stats)
+
+let representation t =
+  if t.blocks > 1 then Printf.sprintf "blocked (%d blocks)" t.blocks
+  else if t.factored then "factored"
+  else "dense"
 
 let pp_statistics ppf a =
   let node_stats, table_stats = statistics a in
@@ -609,10 +854,9 @@ let pp_statistics ppf a =
         (1e3 *. topjoin_seconds))
     node_stats;
   List.iter
-    (fun { table_relation; factored; table_rows } ->
-      Format.fprintf ppf "table %-11s %-8s %d rows@," table_relation
-        (if factored then "factored" else "dense")
-        table_rows)
+    (fun t ->
+      Format.fprintf ppf "table %-11s %-8s %d rows@," t.table_relation
+        (representation t) t.table_rows)
     table_stats;
   Format.fprintf ppf "@]"
 

@@ -70,14 +70,19 @@ val multiplicity_table : analysis -> string -> Relation.t
     already scaled across components. Raises {!Errors.Schema_error} for
     relations not in the query or skipped in this analysis.
 
-    Internally a table is a list of parts and a factor: its entry at τ is
-    the factor times each part's count at τ's projection. A table whose
-    parts join as a pure cross product (e.g. an interior relation of a
-    path query) keeps them apart; any other table has one part, the
-    grouped join. Every other read of the analysis ({!result}'s witness,
-    {!top_sensitive}, {!tuple_sensitivity}) works on the parts and never
-    expands them, with or without a selection. Only this accessor
-    materializes the full cross product — as large as the relation's
+    Internally a table is a list of disjoint blocks, and a block is a
+    list of parts and a factor: its entry at τ is the factor times each
+    part's count at τ's projection. A table whose parts join as a pure
+    cross product (e.g. an interior relation of a path query) is one
+    block of them. A table whose parts carry attributes outside its
+    schema splits into one block per value of those attributes when one
+    part's table attributes determine them in the data: q3's Orders
+    table, one block per nation, since a customer has one nation. Any
+    other table is one block of one part, the grouped join. Every other
+    read of the analysis ({!result}'s witness, {!top_sensitive},
+    {!tuple_sensitivity}) works on the blocks and never expands them,
+    with or without a selection. Only this accessor materializes the
+    full table — for a cross product as large as the relation's
     representative domain. *)
 
 val tuple_sensitivity : analysis -> string -> Tuple.t -> Count.t
@@ -98,17 +103,22 @@ type node_stat = {
 
 type table_stat = {
   table_relation : string;
-  factored : bool;  (** more than one part: a cross-product factorization *)
+  factored : bool;
+      (** not dense: more than one part or more than one block *)
+  blocks : int;  (** disjoint blocks the table is split into *)
   table_rows : int;
-      (** distinct entries stored, summed over the parts (a factored
-          table's materialized size would be their product) *)
+      (** distinct rows stored, summed over the parts of every block (a
+          factored table's materialized size would be their product) *)
 }
 
 val statistics : analysis -> node_stat list * table_stat list
 (** Intermediate sizes of the DP — the quantities behind the paper's
     observation that cyclic queries' multiplicity tables grow nearly
-    quadratically. Node stats follow bag post-order per component; table
+    quadratically when stored dense. Node stats follow bag post-order per component; table
     stats follow atom order (skipped relations are absent). *)
+
+val representation : table_stat -> string
+(** ["dense"], ["factored"] or ["blocked (N blocks)"]. *)
 
 val pp_statistics : Format.formatter -> analysis -> unit
 
@@ -145,9 +155,10 @@ val instance_relation : analysis -> string -> Relation.t
 val top_sensitive : analysis -> string -> int -> (Tuple.t * Count.t) list
 (** The [n] most sensitive tuples of a relation's representative domain
     (full atom tuples, lonely attributes extrapolated), heaviest first,
-    ties by tuple order — the abstract's outlier-detection view. Factored
-    tables are enumerated best-first without materializing; tuples
-    failing the analysis's selection are excluded. {!result}'s witness
+    ties by tuple order — the abstract's outlier-detection view. Each
+    block is enumerated best-first without materializing, and the
+    blocks are merged in that order; tuples failing the analysis's
+    selection are excluded. {!result}'s witness
     is the head of this ranking for its relation. Raises like
     {!multiplicity_table} for unknown/skipped relations,
     [Invalid_argument] if [n < 0]. *)

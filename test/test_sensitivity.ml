@@ -755,6 +755,238 @@ let test_statistics_fig3 () =
     node_stats
 
 (* ------------------------------------------------------------------ *)
+(* Block tables *)
+
+(* q3's OC bag in small: O's table T(CK, OK) = Σ_NK L(OK, NK) · N(NK) ·
+   C(NK, CK), where L stands in for the topjoin. L always sends order 0
+   to two nations, so only C can determine NK. *)
+let oc_cq =
+  Cq.make ~name:"oc"
+    [
+      ("L", [ "OK"; "NK" ]);
+      ("O", [ "CK"; "OK" ]);
+      ("C", [ "NK"; "CK" ]);
+      ("N", [ "NK" ]);
+    ]
+
+let oc_ghd =
+  Ghd.make oc_cq
+    ~bags:[ ("L", [ "L" ]); ("OC", [ "O"; "C" ]); ("N", [ "N" ]) ]
+    ~root:"L"
+    ~parents:[ ("OC", "L"); ("N", "OC") ]
+
+type oc_case = Holds | Broken | Tied
+
+(* A customer's nation is [f ck]; [Broken] plants one more row that
+   gives customer 0 a second nation, so that the table stays dense
+   unless N holds at most one nation; [Tied] sets every count to 1. *)
+let oc_instance_gen case =
+  QCheck2.Gen.(
+    let count = if case = Tied then return 1 else int_range 1 3 in
+    let rows arity values =
+      list_size (int_range 0 6)
+        (pair (list_repeat arity (int_range 0 values)) count)
+    in
+    array_repeat 6 (int_range 0 3) >>= fun f ->
+    list_repeat 5 bool >>= fun customers ->
+    list_repeat 6 count >>= fun customer_counts ->
+    rows 2 5 >>= fun l ->
+    rows 1 3 >>= fun n ->
+    count >>= fun c0 ->
+    let rel attrs rows =
+      Relation.create ~schema:(schema attrs)
+        (List.map (fun (vs, c) -> (tup (List.map v vs), c)) rows)
+    in
+    let c =
+      ([ f.(0); 0 ], c0)
+      :: List.concat
+           (List.mapi
+              (fun i keep ->
+                if keep then [ ([ f.(i + 1); i + 1 ], List.nth customer_counts i) ]
+                else [])
+              customers)
+    in
+    let c = if case = Broken then ([ (f.(0) + 1) mod 4; 0 ], 1) :: c else c in
+    let l = ([ 0; 0 ], 1) :: ([ 0; 1 ], 1) :: l in
+    return
+      ( case,
+        Database.of_list
+          [
+            ("L", rel [ "OK"; "NK" ] l);
+            ("O", rel [ "CK"; "OK" ] [ ([ 0; 0 ], 1) ]);
+            ("C", rel [ "NK"; "CK" ] c);
+            ("N", rel [ "NK" ] n);
+          ] ))
+
+let print_oc_instance (case, db) =
+  Format.asprintf "%s@.%a"
+    (match case with Holds -> "holds" | Broken -> "broken" | Tied -> "tied")
+    Database.pp db
+
+(* Nations with an entry: in N, with a customer and an order line. *)
+let oc_expected_blocks db =
+  let nations name = Relation.active_domain "NK" (Database.find name db) in
+  List.length
+    (List.filter
+       (fun nk -> List.mem nk (nations "C") && List.mem nk (nations "L"))
+       (nations "N"))
+
+(* O's table against the dense grouped join: the materialized table,
+   every entry and absent tuple, the ranking for every prefix, the
+   witness with and without a selection, and the number of blocks. *)
+let prop_blocks_match_dense =
+  Tgen.qtest ~count:300 "block table = dense grouped join"
+    QCheck2.Gen.(oneofl [ Holds; Broken; Tied ] >>= oc_instance_gen)
+    print_oc_instance
+    (fun (case, db) ->
+      let a = Tsens.analyze ~plans:[ oc_ghd ] oc_cq db in
+      let dense =
+        Join.join_project_all
+          ~group:(schema [ "CK"; "OK" ])
+          (List.map (fun r -> Database.find r db) [ "L"; "N"; "C" ])
+      in
+      let sorted = Array.copy (Relation.rows dense) in
+      Array.sort
+        (fun (t1, c1) (t2, c2) ->
+          match compare c2 c1 with 0 -> Tuple.compare t1 t2 | c -> c)
+        sorted;
+      let stat =
+        List.find
+          (fun t -> t.Tsens.table_relation = "O")
+          (snd (Tsens.statistics a))
+      in
+      let entries_agree =
+        List.for_all
+          (fun ck ->
+            List.for_all
+              (fun ok ->
+                let t = tup [ v ck; v ok ] in
+                Tsens.tuple_sensitivity a "O" t = Relation.count_of t dense)
+              (List.init 8 Fun.id))
+          (List.init 8 Fun.id)
+      in
+      let ranking_agrees =
+        List.for_all
+          (fun n ->
+            Tsens.top_sensitive a "O" n
+            = Array.to_list (Array.sub sorted 0 (min n (Array.length sorted))))
+          (List.init (Array.length sorted + 2) Fun.id)
+      in
+      (* With the other tables skipped, the witness is the ranking's
+         head, with and without a selection (orders with an even key),
+         and the selection drops the failing rows from the ranking. *)
+      let even_orders name _ t =
+        name <> "O"
+        || match Value.as_int (Tuple.get t 1) with
+           | Some ok -> ok mod 2 = 0
+           | None -> true
+      in
+      let witness_is_head selection =
+        let a =
+          Tsens.analyze ?selection ~skip:[ "L"; "C"; "N" ] ~plans:[ oc_ghd ]
+            oc_cq db
+        in
+        let expected =
+          List.filter
+            (fun (t, _) ->
+              match selection with None -> true | Some p -> p "O" Schema.empty t)
+            (Array.to_list sorted)
+        in
+        Tsens.top_sensitive a "O" (List.length expected + 1) = expected
+        &&
+        match ((Tsens.result a).Sens_types.witness, expected) with
+        | None, [] -> true
+        | Some w, (t, c) :: _ ->
+            Tuple.equal w.Sens_types.tuple t && w.Sens_types.sensitivity = c
+        | _ -> false
+      in
+      let blocks_as_expected =
+        match case with
+        | Broken ->
+            (* N alone determines NK when it holds at most one nation. *)
+            Relation.distinct_count (Database.find "N" db) <= 1
+            || (stat.Tsens.blocks = 1 && not stat.Tsens.factored)
+        | Holds | Tied -> stat.Tsens.blocks = oc_expected_blocks db
+      in
+      Relation.equal (Tsens.multiplicity_table a "O") dense
+      && entries_agree && ranking_agrees && blocks_as_expected
+      && witness_is_head None
+      && witness_is_head (Some even_orders))
+
+(* Theorem 4.1's space bound, for q3's Orders table: its blocks store at
+   most |Customer| + |⊤_OC| rows, where the dense table would hold the
+   pairs of a nation's customers and orders. *)
+let test_q3_orders_blocks_space () =
+  let open Tsens_workload in
+  let db = Tpch.generate ~seed:42 ~scale:0.0005 () in
+  let a =
+    Tsens.analyze ~skip:[ "Lineitem" ] ~plans:[ Queries.q3_ghd ] Queries.q3 db
+  in
+  let nodes, tables = Tsens.statistics a in
+  let orders = List.find (fun t -> t.Tsens.table_relation = "Orders") tables in
+  let top_oc =
+    (List.find (fun n -> n.Tsens.bag = "OC") nodes).Tsens.topjoin_rows
+  in
+  let customers = Relation.distinct_count (Database.find "Customer" db) in
+  Alcotest.(check bool) "Orders' table is blocked" true (orders.Tsens.blocks > 1);
+  Alcotest.(check string) "representation"
+    (Printf.sprintf "blocked (%d blocks)" orders.Tsens.blocks)
+    (Tsens.representation orders);
+  Alcotest.(check bool)
+    (Printf.sprintf "%d stored rows <= %d customers + %d topjoin rows + %d"
+       orders.Tsens.table_rows customers top_oc orders.Tsens.blocks)
+    true
+    (orders.Tsens.table_rows <= customers + top_oc + orders.Tsens.blocks)
+
+(* A q3 instance small enough for the oracle, on which Orders' table
+   splits by nation: a customer's nation is CK mod 3, and the order
+   lines of one order come from suppliers of two nations. *)
+let test_q3_blocks_match_naive () =
+  let open Tsens_workload in
+  let rel attrs rows =
+    Relation.of_rows ~schema:(schema attrs) (List.map (List.map v) rows)
+  in
+  let partsupp = [| (0, 0); (1, 1); (2, 2); (3, 0); (1, 2) |] in
+  let db =
+    Database.of_list
+      [
+        ("Region", rel [ "RK" ] [ [ 0 ] ]);
+        ("Nation", rel [ "RK"; "NK" ] [ [ 0; 0 ]; [ 0; 1 ]; [ 0; 2 ] ]);
+        ("Supplier", rel [ "NK"; "SK" ] (List.init 4 (fun sk -> [ sk mod 3; sk ])));
+        ("Part", rel [ "PK" ] [ [ 0 ]; [ 1 ]; [ 2 ] ]);
+        ( "Partsupp",
+          rel [ "SK"; "PK" ]
+            (Array.to_list (Array.map (fun (sk, pk) -> [ sk; pk ]) partsupp)) );
+        ("Customer", rel [ "NK"; "CK" ] (List.init 6 (fun ck -> [ ck mod 3; ck ])));
+        ("Orders", rel [ "CK"; "OK" ] (List.init 8 (fun ok -> [ ok mod 6; ok ])));
+        ( "Lineitem",
+          rel [ "OK"; "SK"; "PK" ]
+            (List.concat_map
+               (fun ok ->
+                 List.map
+                   (fun i ->
+                     let sk, pk = partsupp.(i mod 5) in
+                     [ ok; sk; pk ])
+                   [ ok; ok + 2 ])
+               (List.init 8 Fun.id)) );
+      ]
+  in
+  let plans = [ Queries.q3_ghd ] in
+  let a = Tsens.analyze ~plans Queries.q3 db in
+  let orders =
+    List.find
+      (fun t -> t.Tsens.table_relation = "Orders")
+      (snd (Tsens.statistics a))
+  in
+  Alcotest.(check int) "Orders' table has a block per nation" 3
+    orders.Tsens.blocks;
+  let tsens = Tsens.result a in
+  let naive = Naive.local_sensitivity Queries.q3 db in
+  Alcotest.check per_relation_testable "per relation"
+    naive.Sens_types.per_relation tsens.Sens_types.per_relation;
+  Tgen.check_witness_attains_ls Queries.q3 db tsens
+
+(* ------------------------------------------------------------------ *)
 (* Top-k approximation *)
 
 let acyclic_only cq =
@@ -1021,6 +1253,14 @@ let () =
             test_factored_table_saturation;
           Alcotest.test_case "selection keeps table factored" `Quick
             test_selection_keeps_table_factored;
+        ] );
+      ( "blocks",
+        [
+          prop_blocks_match_dense;
+          Alcotest.test_case "q3 Orders within Theorem 4.1 space" `Quick
+            test_q3_orders_blocks_space;
+          Alcotest.test_case "q3 TSens = naive with blocks" `Quick
+            test_q3_blocks_match_naive;
         ] );
       ( "approx",
         [

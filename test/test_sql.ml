@@ -139,6 +139,74 @@ let test_sql_errors () =
   Alcotest.(check bool) "unterminated string" true
     (fails "SELECT COUNT(*) FROM Orders o WHERE o.OK = 'oops")
 
+(* Every semantic error carries the span of the FROM item or the WHERE
+   condition at fault: [Sql.message] renders it as [at line:col], and
+   [check --sql] reports the error there as TS001 (unknown and repeated
+   tables have their own codes, TS002 and TS005). *)
+let test_sql_semantic_error_spans () =
+  let open Tsens_analysis in
+  let case (name, sql, message, spanned) =
+    match Sql.translate ~catalog:tpch_catalog sql with
+    | exception Sql.Sql_error (Sql.Semantic (m, span) as e) ->
+        Alcotest.(check string) (name ^ ": message") message m;
+        Alcotest.(check string)
+          (name ^ ": spanned text") spanned (Srcspan.extract sql span);
+        Alcotest.(check string)
+          (name ^ ": rendered")
+          (Printf.sprintf "%s at 1:%d" message (span.Srcspan.start_ofs + 1))
+          (Sql.message sql e);
+        let report = Analyzer.check_sql ~catalog:tpch_catalog sql in
+        let diagnostics =
+          List.concat_map
+            (fun code -> Diagnostic.find_code code report)
+            [ "TS001"; "TS002"; "TS005" ]
+        in
+        Alcotest.(check (list (option string)))
+          (name ^ ": check span") [ Some spanned ]
+          (List.map
+             (fun d -> Option.map (Srcspan.extract sql) d.Diagnostic.span)
+             diagnostics)
+    | exception Sql.Sql_error (Sql.Syntax m) ->
+        Alcotest.failf "%s: syntax error %s" name m
+    | _ -> Alcotest.failf "%s: accepted" name
+  in
+  List.iter case
+    [
+      ( "unknown table",
+        "SELECT COUNT(*) FROM Orders o, Nowhere n",
+        "unknown table Nowhere",
+        "Nowhere n" );
+      ( "self join",
+        "SELECT COUNT(*) FROM Orders a, Orders b WHERE a.OK = b.OK",
+        "table Orders appears twice: self-joins are not supported",
+        "Orders b" );
+      ( "duplicate alias",
+        "SELECT COUNT(*) FROM Orders x, Customer AS x",
+        "duplicate alias x",
+        "Customer AS x" );
+      ( "unknown alias",
+        "SELECT COUNT(*) FROM Orders o WHERE o.OK = 1 AND q.OK = 2",
+        "unknown alias q",
+        "q.OK = 2" );
+      ( "unknown column",
+        "SELECT COUNT(*) FROM Orders o, Customer c WHERE c.CK = o.ZZ",
+        "table Orders (alias o) has no column ZZ",
+        "c.CK = o.ZZ" );
+      ( "unknown bare column",
+        "SELECT COUNT(*) FROM Orders WHERE 3 < ZZ",
+        "no table has a column ZZ",
+        "3 < ZZ" );
+      ( "ambiguous bare column",
+        "SELECT COUNT(*) FROM Customer, Orders WHERE CK = 1",
+        "column CK is ambiguous (qualify it with an alias)",
+        "CK = 1" );
+      ( "equated columns of one table",
+        "SELECT COUNT(*) FROM Orders o, Lineitem l WHERE l.SK = l.PK",
+        "conditions equate two columns of table Lineitem; per-table column \
+         equalities are not supported",
+        "Lineitem l" );
+    ]
+
 let test_sql_case_and_comments () =
   let t =
     Sql.translate ~catalog:tpch_catalog
@@ -228,6 +296,8 @@ let () =
           Alcotest.test_case "cross product" `Quick
             test_sql_unjoined_tables_cross;
           Alcotest.test_case "errors" `Quick test_sql_errors;
+          Alcotest.test_case "semantic error spans" `Quick
+            test_sql_semantic_error_spans;
           Alcotest.test_case "case and comments" `Quick
             test_sql_case_and_comments;
           Alcotest.test_case "catalog from database" `Quick
