@@ -152,6 +152,12 @@ let prepare ~sql query data =
     (cq, constraints, load_database cq data)
   end
 
+(* The bundled workloads' hand-written decompositions. [plan_for] picks
+   one only for a component with the same atoms and attribute sets, so
+   a bundled query runs on its plan and any other query on GYO or
+   [Ghd.auto]. *)
+let plans = Queries.tpch_plans @ Queries.facebook_plans
+
 (* ------------------------------------------------------------------ *)
 (* check *)
 
@@ -406,17 +412,17 @@ let run_sensitivity query data algorithm k tables explain sql stats trace =
             name
       in
       (* One DP run serves the TSens result, --explain and --tables. *)
-      let analysis = lazy (Tsens.analyze ?selection cq db) in
+      let analysis = lazy (Tsens.analyze ?selection ~plans cq db) in
       let result =
         match algorithm with
         | `Tsens -> Tsens.result (Lazy.force analysis)
         | `Elastic ->
             need_selection_support "elastic";
-            Elastic.local_sensitivity cq db
+            Elastic.local_sensitivity ~plans cq db
         | `Naive -> Naive.local_sensitivity ?selection cq db
         | `Topk ->
             need_selection_support "topk";
-            Approx.local_sensitivity ~k cq db
+            Approx.local_sensitivity ~k ~plans cq db
       in
       Format.printf "%a@." Sens_types.pp_result result;
       if explain then
@@ -506,7 +512,7 @@ let run_dp query data private_relation epsilon ell seed sql stats trace =
       with_observability ~stats ~trace @@ fun () ->
       let cq, constraints, db = prepare ~sql query data in
       let selection = Constraints.selection constraints in
-      let analysis = Tsens.analyze ?selection cq db in
+      let analysis = Tsens.analyze ?selection ~plans cq db in
       let config =
         {
           (Mechanism.default_config ~ell ~private_relation) with

@@ -3,9 +3,10 @@
    always: left tuple ++ (right tuple minus common attributes), matching
    [Schema.union left right].
 
-   Each operator hashes an emitted row at most once and sorts its output
+   Each operator hashes an emitted row at most once and sorts its result
    once: rows go to {!Relation.of_grouped}, never back through
-   {!Relation.create}'s checks and regrouping. *)
+   {!Relation.create}'s checks and regrouping. The intermediates of
+   [join_project_all] are not sorted at all. *)
 
 let c_rows = Obs.counter "join.rows_emitted"
 let g_groups = Obs.gauge "join.max_group_table_rows"
@@ -44,21 +45,19 @@ let build_right_index plan right_rel =
 let combine plan left_tup right_tup =
   Tuple.concat left_tup (Tuple.project plan.right_extra right_tup)
 
-(* The probe loop: stream the left side through the right
+(* The probe loop: stream the left rows through the right
    side's index and hand each matching pair, with its product count, to
    [emit]. A product that saturates from finite counts ticks
    count.saturations; one carrying an already saturated count does not. *)
-let probe plan a b emit =
+let probe plan left_rows b emit =
   let idx = build_right_index plan b in
-  Relation.iter
-    (fun ltup lcnt ->
+  Array.iter
+    (fun (ltup, lcnt) ->
       let key = Tuple.project plan.common_left ltup in
       Array.iter
         (fun (rtup, rcnt) -> emit ltup rtup (Count.mul_tracked lcnt rcnt))
         (Index.lookup idx key))
-    a
-
-module H = Tuple.Tbl
+    left_rows
 
 (* A natural join's rows are distinct without grouping: the combined
    tuple determines both the left row and the right one. *)
@@ -66,7 +65,7 @@ let natural_join a b =
   Obs.span "join.stream" @@ fun () ->
   let plan = make_plan (Relation.schema a) (Relation.schema b) in
   let acc = ref [] in
-  probe plan a b
+  probe plan (Relation.rows a) b
     (instrument_emit (fun ltup rtup cnt ->
          acc := (combine plan ltup rtup, cnt) :: !acc));
   Relation.of_grouped plan.combined (Array.of_list !acc)
@@ -74,12 +73,12 @@ let natural_join a b =
 (* Where each group attribute is read from a matching pair: [s >= 0] is
    position [s] of the left tuple, [s < 0] position [-s - 1] of the right
    one. Common attributes read the left side. Computed once per plan. *)
-let key_sources group a b =
+let key_sources group left right =
   Schema.attrs group
   |> List.map (fun attr ->
-         match Schema.index_opt attr (Relation.schema a) with
+         match Schema.index_opt attr left with
          | Some i -> i
-         | None -> -Schema.index attr (Relation.schema b) - 1)
+         | None -> -Schema.index attr right - 1)
   |> Array.of_list
 
 (* The group key of a matching pair, built straight from the two sides:
@@ -97,36 +96,32 @@ let group_key src (ltup : Tuple.t) (rtup : Tuple.t) : Tuple.t =
     key
   end
 
-(* One mutable cell per distinct key, so each emitted row costs one hash
-   lookup (two only when it opens a group). *)
-let accumulate table key cnt =
-  match H.find_opt table key with
-  | Some cell -> cell := Count.add_tracked !cell cnt
-  | None -> H.add table key (ref cnt)
-
-let grouped_rows table =
-  Obs.observe g_groups (H.length table);
-  let rows = Array.make (H.length table) ([||], Count.zero) in
-  let i = ref 0 in
-  H.iter
-    (fun key cell ->
-      rows.(!i) <- (key, !cell);
-      incr i)
-    table;
-  rows
-
-let join_project ~group a b =
-  Obs.span "join.project" @@ fun () ->
-  let plan = make_plan (Relation.schema a) (Relation.schema b) in
+(* The grouped-join step: γ_group(left ⋈ b) for a left side given as a
+   schema and its distinct rows, in any order. Each emitted row is
+   hashed once into the group table; the groups come back distinct but
+   unsorted, so a step whose output is only streamed again skips the
+   sort. The callers open its span. *)
+let grouped_step ~group (left, left_rows) b =
+  let plan = make_plan left (Relation.schema b) in
   if not (Schema.subset group plan.combined) then
     Errors.schema_errorf "join_project: %a not a subset of joined schema %a"
       Schema.pp group Schema.pp plan.combined;
-  let src = key_sources group a b in
-  let table = H.create 1024 in
-  probe plan a b
+  let src = key_sources group left (Relation.schema b) in
+  let table = Relation.groups 1024 in
+  probe plan left_rows b
     (instrument_emit (fun ltup rtup cnt ->
-         accumulate table (group_key src ltup rtup) cnt));
-  Relation.of_grouped group (grouped_rows table)
+         Relation.accumulate table (group_key src ltup rtup) cnt));
+  let rows = Relation.drain table in
+  Obs.observe g_groups (Array.length rows);
+  rows
+
+(* A step whose output is kept: its groups sorted into a relation. *)
+let grouped_join ~group left b =
+  Obs.span "join.project" @@ fun () ->
+  Relation.of_grouped group (grouped_step ~group left b)
+
+let join_project ~group a b =
+  grouped_join ~group (Relation.schema a, Relation.rows a) b
 
 let join_all = function
   | [] -> invalid_arg "Join.join_all: empty list"
@@ -177,11 +172,13 @@ let join_project_all ~group rels =
   | [ r ] -> Relation.project group r
   | first :: second :: rest ->
       (* Attributes needed downstream of a join: anything in [group] or
-         in a relation joined later. Projecting intermediates onto this
+         in a relation joined later. Grouping intermediates onto this
          set preserves the final grouped counts; the last join groups
-         onto [group] itself, in its order. *)
+         onto [group] itself, in its order. An intermediate is only the
+         streamed side of the next join, so it stays an unsorted row
+         array; only the result is sorted. *)
       let rec loop acc r = function
-        | [] -> join_project ~group acc r
+        | [] -> grouped_join ~group acc r
         | next :: later as remaining ->
             let still_needed =
               List.fold_left
@@ -189,13 +186,16 @@ let join_project_all ~group rels =
                 group remaining
             in
             let keep =
-              Schema.inter
-                (Schema.union (Relation.schema acc) (Relation.schema r))
+              Schema.inter (Schema.union (fst acc) (Relation.schema r))
                 still_needed
             in
-            loop (join_project ~group:keep acc r) next later
+            let rows =
+              Obs.span "join.project" @@ fun () ->
+              grouped_step ~group:keep acc r
+            in
+            loop (keep, rows) next later
       in
-      loop first second rest
+      loop (Relation.schema first, Relation.rows first) second rest
 
 let semijoin a b =
   let common = Schema.inter (Relation.schema a) (Relation.schema b) in

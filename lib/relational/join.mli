@@ -24,10 +24,12 @@ val join_all : Relation.t list -> Relation.t
 (** Left-fold of {!natural_join}. Raises [Invalid_argument] on []. *)
 
 val join_project_all : group:Schema.t -> Relation.t list -> Relation.t
-(** Folds {!join_project}, grouping each intermediate result onto the
-    attributes still needed (those in [group] or in a yet-unjoined
-    relation) and the last one onto [group] itself. Equivalent to
-    [Relation.project group (join_all rels)] with smaller intermediates. *)
+(** Folds {!join_project}'s grouped-join step, grouping each intermediate
+    result onto the attributes still needed (those in [group] or in a
+    yet-unjoined relation) and the last one onto [group] itself.
+    Equivalent to [Relation.project group (join_all rels)] with smaller
+    intermediates. Only the result is sorted: an intermediate is only
+    streamed through the next join, so it stays an unsorted row array. *)
 
 val semijoin : Relation.t -> Relation.t -> Relation.t
 (** [semijoin a b] keeps the rows of [a] whose common-attribute projection

@@ -10,37 +10,55 @@ let by_tuple (a, _) (b, _) = Tuple.compare a b
 (* The trusted constructor every kernel output goes through: the caller
    guarantees distinct tuples of the right arity with positive counts, so
    the only canonicalization left is the sort. Rows that arrive sorted
-   skip it; for anything else the scan stops at the first descent. *)
+   skip it; for anything else the scan stops at the first descent. The
+   sort is the stdlib's merge sort, which makes fewer comparisons than
+   its heap sort; the rows are distinct, so stability changes nothing. *)
 let of_grouped schema rows =
   let n = Array.length rows in
   let i = ref 1 in
   while !i < n && by_tuple rows.(!i - 1) rows.(!i) < 0 do
     incr i
   done;
-  if !i < n then Array.sort by_tuple rows;
+  if !i < n then Array.stable_sort by_tuple rows;
   { schema; rows }
 
-(* Group an array of (tuple, count) pairs: sum multiplicities per
-   distinct tuple and drop non-positive totals. One hash per pair: each
-   distinct tuple owns a mutable cell. *)
-let grouped schema pairs =
-  let table = T.create (max 16 (Array.length pairs)) in
-  Array.iter
-    (fun (tup, cnt) ->
-      match T.find_opt table tup with
-      | Some cell -> cell := Count.add_tracked !cell cnt
-      | None -> T.add table tup (ref cnt))
-    pairs;
-  let rows =
-    T.fold
-      (fun tup cnt acc -> if !cnt > 0 then (tup, !cnt) :: acc else acc)
-      table []
-  in
-  of_grouped schema (Array.of_list rows)
+(* A grouping table: one mutable cell per distinct tuple, so each
+   accumulated pair costs one hash lookup (two only when it opens a
+   group). Every grouping in the library goes through it: [normalize],
+   [project], [max_frequency] and [Join]'s grouped join. *)
+type groups = Count.t ref T.t
 
-(* Merge duplicate tuples, drop zero counts, sort: the canonical form
-   for rows from outside the library. *)
-let normalize schema pairs = grouped schema (Array.of_list pairs)
+let groups n : groups = T.create n
+
+let accumulate (table : groups) tup cnt =
+  match T.find_opt table tup with
+  | Some cell -> cell := Count.add_tracked !cell cnt
+  | None -> T.add table tup (ref cnt)
+
+let drain (table : groups) =
+  let rows = Array.make (T.length table) ([||], Count.zero) in
+  let i = ref 0 in
+  T.iter
+    (fun tup cell ->
+      rows.(!i) <- (tup, !cell);
+      incr i)
+    table;
+  rows
+
+(* The rows of [rows] keyed by [positions], summed per key. *)
+let group_on positions rows =
+  let table = groups (max 16 (Array.length rows)) in
+  Array.iter
+    (fun (tup, cnt) -> accumulate table (Tuple.project positions tup) cnt)
+    rows;
+  table
+
+(* Merge duplicate tuples and sort: the canonical form for rows from
+   outside the library (their counts are checked positive first). *)
+let normalize schema pairs =
+  let table = groups (max 16 (List.length pairs)) in
+  List.iter (fun (tup, cnt) -> accumulate table tup cnt) pairs;
+  of_grouped schema (drain table)
 
 let check_row schema (tup, cnt) =
   if Tuple.arity tup <> Schema.arity schema then
@@ -112,11 +130,8 @@ let project target r =
         Schema.pp r.schema;
     if Schema.arity target = Schema.arity r.schema then permute target r
     else
-      let positions = Schema.positions ~sub:target r.schema in
-      grouped target
-        (Array.map
-           (fun (tup, cnt) -> (Tuple.project positions tup, cnt))
-           r.rows)
+      of_grouped target
+        (drain (group_on (Schema.positions ~sub:target r.schema) r.rows))
 
 let filter pred r =
   let rows =
@@ -190,11 +205,18 @@ let max_row r =
       | Some (_, best_cnt) -> if cnt > best_cnt then Some (tup, cnt) else best)
     None r.rows
 
+(* The largest group count, read off the grouping table: no projected
+   relation is built or sorted. *)
 let max_frequency ~over r =
   if Schema.arity over = 0 then cardinality r
+  else if Schema.equal_as_sets over r.schema then
+    (* [over] holds every column: the rows are the groups. *)
+    fold (fun _ c acc -> Count.max c acc) r Count.zero
   else
-    let grouped = project over r in
-    match max_row grouped with None -> 0 | Some (_, c) -> c
+    T.fold
+      (fun _ cell acc -> Count.max !cell acc)
+      (group_on (Schema.positions ~sub:over r.schema) r.rows)
+      Count.zero
 
 let active_domain attr r =
   let pos = Schema.index attr r.schema in

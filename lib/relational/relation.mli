@@ -35,6 +35,26 @@ val of_grouped : Schema.t -> (Tuple.t * Count.t) array -> t
     the kernels in {!Join} and {!project} build on it, after grouping
     their output once themselves. *)
 
+(** {1 Grouping}
+
+    The one grouping loop of the library: {!create}, {!project},
+    {!max_frequency} and [Join]'s grouped join all accumulate into a
+    [groups] table and drain it. *)
+
+type groups
+(** A mutable table of (tuple, count) groups. *)
+
+val groups : int -> groups
+(** An empty table sized for about that many groups. *)
+
+val accumulate : groups -> Tuple.t -> Count.t -> unit
+(** Add a count to a tuple's group (saturating; a sum that saturates
+    ticks [count.saturations]). *)
+
+val drain : groups -> (Tuple.t * Count.t) array
+(** The groups as distinct rows, in no particular order: ready for
+    {!of_grouped} when every count is positive. *)
+
 (** {1 Access} *)
 
 val schema : t -> Schema.t
@@ -97,7 +117,8 @@ val max_frequency : over:Schema.t -> t -> Count.t
 (** Largest multiplicity of any combination of values of the [over]
     attributes — the [mf] statistic of elastic sensitivity. With an empty
     [over] this is the bag cardinality (the cross-product extension used
-    by the paper's experiments). 0 on an empty relation. *)
+    by the paper's experiments). 0 on an empty relation. Raises
+    {!Errors.Schema_error} if [over] is not a subset of the schema. *)
 
 val active_domain : Attr.t -> t -> Value.t list
 (** Distinct values of one attribute, sorted. *)

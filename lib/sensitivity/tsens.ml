@@ -539,16 +539,34 @@ let build_table schema parts =
 let run_component ~step ?(skip = []) ghd db =
   let cq = Ghd.cq ghd in
   let tree = Ghd.bag_tree ghd in
+  (* B_v grouped onto the attributes it shares with its tree neighbours,
+     link(v) ∪ ⋃ link(c): every join at v (its botjoin, its children's
+     topjoins) groups onto a subset of them, so the bag's other
+     attributes are summed away once here rather than in each join. A bag
+     without such attributes is its member relation itself. *)
   let bag_rel =
     let cache = Hashtbl.create 16 in
     fun v ->
       match Hashtbl.find_opt cache v with
       | Some r -> r
       | None ->
-          let r =
-            Join.join_all
-              (List.map (fun m -> Database.find m db) (Ghd.members ghd v))
+          let members =
+            List.map (fun m -> Database.find m db) (Ghd.members ghd v)
           in
+          let neighbours =
+            List.fold_left
+              (fun s c -> Schema.union s (Join_tree.link_schema tree c))
+              (Join_tree.link_schema tree v)
+              (Join_tree.children tree v)
+          in
+          let group =
+            Schema.restrict
+              ~keep:(fun a -> Schema.mem a neighbours)
+              (List.fold_left
+                 (fun s r -> Schema.union s (Relation.schema r))
+                 Schema.empty members)
+          in
+          let r = Join.join_project_all ~group members in
           Hashtbl.replace cache v r;
           r
   in

@@ -310,7 +310,11 @@ let test_relation_max_frequency () =
     (Relation.max_frequency ~over:Schema.empty r1_fig1);
   Alcotest.(check int) "mf of empty relation" 0
     (Relation.max_frequency ~over:(schema [ "A" ])
-       (Relation.empty (schema [ "A" ])))
+       (Relation.empty (schema [ "A" ])));
+  Alcotest.(check bool) "mf over a foreign attribute raises" true
+    (match Relation.max_frequency ~over:(schema [ "Z" ]) r1_fig1 with
+    | exception Errors.Schema_error _ -> true
+    | _ -> false)
 
 let test_relation_active_domain () =
   Alcotest.(check (list string))
@@ -708,6 +712,52 @@ let prop_full_schema_join_project_equals_reference =
 
 let prop_project_equals_reference =
   operator_qtest "project = nested-loop reference" project_equals_reference
+
+(* Every kernel result's rows are strictly ascending: the invariant that
+   [Relation.equal], point lookups and the ranked scans read, and the
+   one [join_project_all] must restore now that its intermediates skip
+   the sort. Fold lists of two to four relations give zero to two
+   unsorted intermediates. *)
+let strictly_ascending r =
+  let rows = Relation.rows r in
+  let ok = ref true in
+  for i = 1 to Array.length rows - 1 do
+    if Tuple.compare (fst rows.(i - 1)) (fst rows.(i)) >= 0 then ok := false
+  done;
+  !ok
+
+let kernel_outputs_sorted ((a, b), extra) =
+  on_emptied_sides
+    (fun (a, b) ->
+      strictly_ascending (Join.natural_join a b)
+      && List.for_all
+           (fun group ->
+             strictly_ascending (Join.join_project ~group a b)
+             && List.for_all
+                  (fun rels ->
+                    strictly_ascending (Join.join_project_all ~group rels))
+                  [ [ a; b ]; [ a; b; a ]; [ b; a; b; a ] ])
+           (extra :: Tgen.group_variants a b)
+      && List.for_all
+           (fun target -> strictly_ascending (Relation.project target a))
+           (Schema.inter extra (Relation.schema a) :: Tgen.target_variants a))
+    (a, b)
+
+(* max_frequency reads the largest group off the grouping table; the
+   reference projects and scans. *)
+let max_frequency_equals_reference ((a, _), extra) =
+  List.for_all
+    (fun over ->
+      Relation.max_frequency ~over a
+      = Relation.fold (fun _ c acc -> Count.max c acc) (ref_project over a) 0)
+    (Schema.inter extra (Relation.schema a) :: Tgen.target_variants a)
+
+let prop_max_frequency_equals_reference =
+  operator_qtest "max_frequency = nested-loop reference"
+    max_frequency_equals_reference
+
+let prop_kernel_outputs_sorted =
+  operator_qtest "kernel outputs strictly ascending" kernel_outputs_sorted
 
 let prop_index_equals_reference =
   reference_qtest "probes = nested-loop reference"
@@ -1334,6 +1384,8 @@ let () =
           prop_join_project_equals_reference;
           prop_full_schema_join_project_equals_reference;
           prop_project_equals_reference;
+          prop_kernel_outputs_sorted;
+          prop_max_frequency_equals_reference;
           Alcotest.test_case "saturation ticks" `Quick
             test_kernel_saturation_ticks;
         ] );

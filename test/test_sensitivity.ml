@@ -1193,6 +1193,111 @@ let test_elastic_fig1 () =
     (e.Sens_types.local_sensitivity >= 4);
   Alcotest.(check bool) "no witness" true (e.Sens_types.witness = None)
 
+(* ------------------------------------------------------------------ *)
+(* Bags grouped onto their neighbour attributes *)
+
+(* TSens on [plans] against the naive oracle: LS, per relation, and
+   every entry of every multiplicity table. *)
+let matches_oracle ~plans cq db =
+  let a = Tsens.analyze ~plans cq db in
+  let tsens = Tsens.result a and naive = Naive.local_sensitivity cq db in
+  tsens.Sens_types.local_sensitivity = naive.Sens_types.local_sensitivity
+  && tsens.Sens_types.per_relation = naive.Sens_types.per_relation
+  && List.for_all
+       (fun relation ->
+         Relation.fold
+           (fun row cnt acc ->
+             acc
+             && Naive.tuple_sensitivity cq db relation
+                  (Tsens.witness_tuple a relation row)
+                = cnt)
+           (Tsens.multiplicity_table a relation)
+           true)
+       (Cq.relation_names cq)
+
+(* Values from a domain of three, so a lonely attribute's rows merge
+   when the bag is grouped. *)
+let small_instance_of cq =
+  QCheck2.Gen.(
+    let atom_gen atom =
+      let arity = Schema.arity atom.Cq.schema in
+      list_size (int_range 0 6)
+        (pair
+           (map Tuple.of_list (list_repeat arity (map Value.int (int_range 0 2))))
+           (int_range 1 2))
+      >>= fun rows ->
+      return (atom.Cq.relation, Relation.create ~schema:atom.Cq.schema rows)
+    in
+    flatten_l (List.map atom_gen (Cq.atoms cq)) >>= fun rels ->
+    return (Database.of_list rels))
+
+(* q2's shape: a hub with a lonely attribute L and three children, as
+   the root and as an interior node below R1. *)
+let star_cq =
+  Cq.make ~name:"star_lonely"
+    [
+      ("Hub", [ "A"; "B"; "C"; "L" ]);
+      ("R1", [ "A"; "X" ]);
+      ("R2", [ "B" ]);
+      ("R3", [ "C"; "Y" ]);
+    ]
+
+let star_plans =
+  let rooted root parents = Ghd.of_join_tree (Join_tree.make star_cq ~root ~parents) in
+  [
+    rooted "Hub" [ ("R1", "Hub"); ("R2", "Hub"); ("R3", "Hub") ];
+    rooted "R1" [ ("Hub", "R1"); ("R2", "Hub"); ("R3", "Hub") ];
+  ]
+
+let prop_star_hub_matches_naive =
+  Tgen.qtest ~count:100 "star hub with lonely attribute: TSens = naive"
+    QCheck2.Gen.(pair (oneofl star_plans) (small_instance_of star_cq))
+    (fun (_, db) -> print_instance (star_cq, db))
+    (fun (plan, db) -> matches_oracle ~plans:[ plan ] star_cq db)
+
+(* q3_ghd's OC bag in small: bag OC = Orders ⋈ Customer over NK, CK, OK
+   shares OK and NK with its parent LS and NK with its child N, so CK is
+   summed away when the bag is grouped. *)
+let mini_q3 =
+  Cq.make ~name:"mini_q3"
+    [
+      ("Nation", [ "NK" ]);
+      ("Customer", [ "NK"; "CK" ]);
+      ("Orders", [ "CK"; "OK" ]);
+      ("Lineitem", [ "OK"; "SK" ]);
+      ("Supplier", [ "NK"; "SK" ]);
+    ]
+
+let mini_q3_ghd =
+  Ghd.make mini_q3
+    ~bags:
+      [
+        ("LS", [ "Lineitem"; "Supplier" ]);
+        ("OC", [ "Orders"; "Customer" ]);
+        ("N", [ "Nation" ]);
+      ]
+    ~root:"LS"
+    ~parents:[ ("OC", "LS"); ("N", "OC") ]
+
+let prop_ghd_bag_matches_naive =
+  Tgen.qtest ~count:100 "GHD bag with lonely attribute: TSens = naive"
+    (small_instance_of mini_q3)
+    (fun db -> print_instance (mini_q3, db))
+    (fun db -> matches_oracle ~plans:[ mini_q3_ghd ] mini_q3 db)
+
+(* Join rows TSens emits on q2 at a tiny TPC-H scale. Lineitem, q2's
+   root, holds fewer distinct (SK, PK) pairs than rows: read raw in
+   ⊥(Lineitem) and in each child's topjoin, it emits more. *)
+let test_q2_join_rows_pinned () =
+  let open Tsens_workload in
+  let db = Tpch.generate ~seed:42 ~scale:0.0005 () in
+  let _, rows =
+    traced_total "join.rows_emitted"
+      (fun r -> r.Obs.Report.counters)
+      (fun () -> Tsens.analyze ~plans:Queries.tpch_plans Queries.q2 db)
+  in
+  Alcotest.(check int) "join.rows_emitted" 3709 rows
+
 let () =
   Alcotest.run "sensitivity"
     [
@@ -1261,6 +1366,13 @@ let () =
             test_q3_orders_blocks_space;
           Alcotest.test_case "q3 TSens = naive with blocks" `Quick
             test_q3_blocks_match_naive;
+        ] );
+      ( "grouped bags",
+        [
+          prop_star_hub_matches_naive;
+          prop_ghd_bag_matches_naive;
+          Alcotest.test_case "q2 join rows pinned" `Quick
+            test_q2_join_rows_pinned;
         ] );
       ( "approx",
         [
